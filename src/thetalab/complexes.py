@@ -514,9 +514,17 @@ def format_facet_text(complex_: SimplicialComplex) -> str:
     return "\n".join(sorted(lines)) + "\n"
 
 
+def _read_text_file(path) -> str:
+    """The contents of a facet or triangulation file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def read_facet_file(path) -> SimplicialComplex:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_facet_text(fh.read())
+    return parse_facet_text(_read_text_file(path))
 
 
 def write_facet_file(complex_: SimplicialComplex, path) -> None:

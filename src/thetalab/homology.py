@@ -20,7 +20,7 @@ def _validate_field(field: int | None) -> int | None:
         return None
     if not isinstance(field, int) or field < 2:
         raise PreconditionError(f"field must be None (rationals) or a prime, got {field!r}")
-    for q in range(2, int(field ** 0.5) + 1):
+    for q in range(2, math.isqrt(field) + 1):
         if field % q == 0:
             raise PreconditionError(f"{field} is not prime")
     return field

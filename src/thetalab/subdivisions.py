@@ -3,7 +3,10 @@
 A Triangulation records a base complex, a total complex refining it, and the
 carrier of every face of the total complex: the base face it lives in.  The
 carrier of a face always equals the union of the carriers of its vertices,
-which is what lets the file format round-trip from vertex data alone.
+so only vertex carriers are stored, each as a bitmask of base vertex ids; a
+face's carrier is the OR of its vertices' masks.  The constructor takes the
+same mapping as the file format: every vertex of the total complex needs a
+carrier, and a higher face may be given one only if it equals the union.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 """
@@ -21,6 +24,7 @@ from .complexes import (
     _ARROW,
     _COMMENT,
     _EMPTY_FACE_TOKEN,
+    _read_text_file,
     fresh_label,
     parse_facet_text,
     simplex,
@@ -36,14 +40,25 @@ from .errors import (
 LabelSet = frozenset[str]
 
 
-def _labelset(complex_: SimplicialComplex, face: Face) -> LabelSet:
-    return frozenset(complex_.labels_of(face))
+def _mask(face: Face) -> int:
+    mask = 0
+    for v in face:
+        mask |= 1 << v
+    return mask
+
+
+def _ids(mask: int) -> Face:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _mask_labels(complex_: SimplicialComplex, mask: int) -> list[str]:
+    return sorted(complex_.labels_of(_ids(mask)))
 
 
 class Triangulation:
     """A total complex refining a base complex, with face carriers."""
 
-    __slots__ = ("_base", "_total", "_carrier")
+    __slots__ = ("_base", "_total", "_vmask", "_masks")
 
     def __init__(
         self,
@@ -55,25 +70,35 @@ class Triangulation:
     ):
         self._base = base
         self._total = total
-        norm: dict[LabelSet, LabelSet] = {}
+        self._masks: dict[Face, int] | None = None
+        vmask: list[int | None] = [None] * len(total.table)
+        higher: list[tuple[Face, int]] = []
         for key, value in carrier.items():
             kface = total._face_arg(tuple(key))
-            vface = base._face_arg(tuple(value))
-            kset = _labelset(total, kface)
-            if kset in norm and norm[kset] != _labelset(base, vface):
+            mask = _mask(base._face_arg(tuple(value)))
+            if len(kface) != 1:
+                higher.append((kface, mask))
+            elif vmask[kface[0]] is None:
+                vmask[kface[0]] = mask
+            elif vmask[kface[0]] != mask:
                 raise InvalidTriangulationError(
-                    f"conflicting carriers for face {sorted(kset)}"
+                    f"conflicting carriers for face {sorted(total.labels_of(kface))}"
                 )
-            norm[kset] = _labelset(base, vface)
-        self._carrier = norm
-        expected = {_labelset(total, f) for f in total.faces()} if not total.is_void else set()
-        if set(norm) != expected:
-            missing = expected - set(norm)
-            extra = set(norm) - expected
+        missing = vmask.count(None)
+        if missing:
             raise InvalidTriangulationError(
-                f"carrier map must cover every face of the total complex exactly"
-                f" ({len(missing)} missing, {len(extra)} extra)"
+                "carrier map must give the carrier of every vertex of the total"
+                f" complex ({missing} missing)"
             )
+        self._vmask: tuple[int, ...] = tuple(vmask)
+        for kface, mask in higher:
+            union = self._carrier_mask(kface)
+            if union != mask:
+                raise InvalidTriangulationError(
+                    f"carrier of {sorted(total.labels_of(kface))} is"
+                    f" {_mask_labels(base, mask)} but its vertex carriers union"
+                    f" to {_mask_labels(base, union)}"
+                )
         if validate:
             self.validate()
 
@@ -85,129 +110,150 @@ class Triangulation:
     def total(self) -> SimplicialComplex:
         return self._total
 
+    def _carrier_mask(self, face: Face) -> int:
+        vmask = self._vmask
+        mask = 0
+        for v in face:
+            mask |= vmask[v]
+        return mask
+
+    def _face_masks(self) -> dict[Face, int]:
+        """Carrier mask of every face of the total complex (cached)."""
+        if self._masks is None:
+            self._masks = {f: self._carrier_mask(f) for f in self._total.faces()}
+        return self._masks
+
     def carrier_of(self, face) -> Face:
         """Carrier of a total face, as a face (id tuple) of the base."""
         kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
-        labels = self._carrier[_labelset(self._total, kface)]
-        return self._base.face(sorted(labels))
+        return _ids(self._carrier_mask(kface))
 
     def carrier_labels(self, face) -> tuple[str, ...]:
         kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
-        return tuple(sorted(self._carrier[_labelset(self._total, kface)]))
+        return tuple(_mask_labels(self._base, self._carrier_mask(kface)))
 
     @property
     def carrier_map(self) -> dict[LabelSet, LabelSet]:
-        """Carrier assignments keyed by label sets (copy)."""
-        return dict(self._carrier)
+        """Carrier assignments of every face, keyed by label sets (a new dict)."""
+        total, base = self._total, self._base
+        return {
+            frozenset(total.labels_of(f)): frozenset(base.labels_of(_ids(m)))
+            for f, m in self._face_masks().items()
+        }
 
     def validate(self) -> None:
         """Check the triangulation axioms, raising on any violation.
 
-        Besides bookkeeping (carriers are base faces, the empty face maps to
-        itself, carriers are unions of vertex carriers), this checks that the
-        restriction to every base face is pure of the right dimension and has
-        the Euler characteristic of a ball, with vertices restricting to
-        single points.
+        Besides bookkeeping (carriers are base faces, only the empty face has
+        the empty carrier), this checks that the restriction to every base
+        face is pure of the right dimension and has the Euler characteristic
+        of a ball, with vertices restricting to single points.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
             raise InvalidTriangulationError("exactly one of base and total is void")
         if total.is_void:
             return
-        car = self._carrier
-        if car[frozenset()] != frozenset():
-            raise InvalidTriangulationError("the empty face must carry to the empty face")
-        vertex_carrier = {
-            ls: car[ls] for ls in car if len(ls) == 1
-        }
-        for ls, value in car.items():
-            if len(ls) <= 1:
-                continue
-            union: set[str] = set()
-            for v in ls:
-                union |= vertex_carrier[frozenset((v,))]
-            if frozenset(union) != value:
-                raise InvalidTriangulationError(
-                    f"carrier of {sorted(ls)} is {sorted(value)} but its vertex"
-                    f" carriers union to {sorted(union)}"
-                )
-        buckets: dict[LabelSet, list[LabelSet]] = {}
-        for ls, value in car.items():
-            buckets.setdefault(value, []).append(ls)
-        if buckets.get(frozenset(), []) != [frozenset()]:
+        if 0 in self._vmask:
             raise InvalidTriangulationError(
                 "only the empty face may have an empty carrier"
             )
-        for bface in base.faces():
-            fset = _labelset(base, bface)
-            if not fset:
+        base_masks = {_mask(f) for f in base.faces()}
+        buckets: dict[int, list[Face]] = {}
+        # carriers of the faces one vertex larger: a face of a restriction is
+        # maximal there exactly when none of these lies inside the base face
+        up: dict[Face, set[int]] = {}
+        for face, mask in self._face_masks().items():
+            buckets.setdefault(mask, []).append(face)
+            for i in range(len(face)):
+                up.setdefault(face[:i] + face[i + 1 :], set()).add(mask)
+        for mask, faces in buckets.items():
+            if mask not in base_masks:
+                raise InvalidTriangulationError(
+                    f"carrier {_mask_labels(base, mask)} of"
+                    f" {sorted(total.labels_of(faces[0]))} is not a face of the base"
+                )
+        for fmask in base_masks:
+            if not fmask:
                 continue
-            members: list[LabelSet] = []
-            for k in range(len(bface) + 1):
-                for sub in itertools.combinations(sorted(fset), k):
-                    members.extend(buckets.get(frozenset(sub), ()))
-            # members are downward closed (carriers are vertex unions), so a
-            # face is maximal exactly when no one-vertex extension is present
-            size = len(fset)
-            dropped: set[LabelSet] = set()
-            for m in members:
-                for v in m:
-                    dropped.add(m - {v})
+            labels = _mask_labels(base, fmask)
+            size = len(labels)
+            members: list[Face] = []
+            sub = fmask
+            while sub:
+                members.extend(buckets.get(sub, ()))
+                sub = (sub - 1) & fmask
             has_top = False
+            euler = 0
             for m in members:
+                euler += 1 if len(m) % 2 else -1
                 if len(m) == size:
                     has_top = True
                 elif len(m) > size:
                     raise InvalidTriangulationError(
-                        f"restriction to {sorted(fset)} has a face of dimension"
+                        f"restriction to {labels} has a face of dimension"
                         f" above dim {size - 1}"
                     )
-                elif m and m not in dropped:
+                elif all(e & ~fmask for e in up.get(m, ())):
                     raise InvalidTriangulationError(
-                        f"restriction to {sorted(fset)} is not pure:"
-                        f" {sorted(m)} is maximal"
+                        f"restriction to {labels} is not pure:"
+                        f" {sorted(total.labels_of(m))} is maximal"
                     )
             if not has_top:
                 raise InvalidTriangulationError(
-                    f"restriction to {sorted(fset)} has no face of full dimension"
+                    f"restriction to {labels} has no face of full dimension"
                 )
-            euler = sum(-1 if len(m) % 2 == 0 else 1 for m in members if m)
             if euler != 1:
                 raise InvalidTriangulationError(
-                    f"restriction to {sorted(fset)} has reduced Euler"
+                    f"restriction to {labels} has reduced Euler"
                     f" characteristic {euler - 1}, expected 0"
                 )
-            if size == 1 and sum(1 for m in members if m) != 1:
+            if size == 1 and len(members) != 1:
                 raise InvalidTriangulationError(
-                    f"restriction to the vertex {sorted(fset)} must be a single point"
+                    f"restriction to the vertex {labels} must be a single point"
                 )
 
     def restriction(self, face) -> "Triangulation":
-        """The induced triangulation of a base face (a simplex)."""
-        bface = self._base._face_arg(face if isinstance(face, tuple) else tuple(face))
-        fset = _labelset(self._base, bface)
-        inside = [ls for ls, value in self._carrier.items() if value <= fset]
-        # inside is downward closed, so maximal faces are those that are not
-        # one vertex short of another member
-        dropped: set[LabelSet] = set()
-        for ls in inside:
-            for v in ls:
-                dropped.add(ls - {v})
-        maximal = [ls for ls in inside if ls and ls not in dropped]
-        if not maximal and inside:
-            maximal = [frozenset()]
-        total = SimplicialComplex.from_facets([sorted(m) for m in maximal])
-        sub_base = simplex(sorted(fset))
-        carrier = {tuple(sorted(ls)): tuple(sorted(self._carrier[ls])) for ls in inside}
-        return Triangulation(sub_base, total, carrier, validate=False)
+        """The induced triangulation of a base face (a simplex).
+
+        It keeps the faces whose carrier lies inside the face.  Carriers are
+        vertex unions, so that is the subcomplex induced on the vertices
+        carried into the face.
+        """
+        base, total = self._base, self._total
+        bface = base._face_arg(face if isinstance(face, tuple) else tuple(face))
+        outside = ~_mask(bface)
+        kept = [v for v, m in enumerate(self._vmask) if not m & outside]
+        inside = set(kept)
+        sub_total = SimplicialComplex.from_facets(
+            {tuple(filter(inside.__contains__, facet)) for facet in total.facets},
+            labels=total.table,
+        )
+        sub_base = simplex(base.labels_of(bface))
+        to_sub = {b: sub_base.table.id(base.table.label(b)) for b in bface}
+        # from_facets keeps the order of the kept ids when it renumbers them
+        carrier = {
+            (i,): tuple(to_sub[b] for b in _ids(self._vmask[v]))
+            for i, v in enumerate(kept)
+        }
+        return Triangulation(sub_base, sub_total, carrier, validate=False)
 
     def __eq__(self, other) -> bool:
+        # total equality fixes the vertex labels, and vertex carriers fix the
+        # rest; both sides are compared by label, not by id
         return (
             isinstance(other, Triangulation)
             and self._base == other._base
             and self._total == other._total
-            and self._carrier == other._carrier
+            and self._vertex_carriers() == other._vertex_carriers()
         )
+
+    def _vertex_carriers(self) -> dict[str, LabelSet]:
+        base = self._base
+        return {
+            lab: frozenset(base.labels_of(_ids(m)))
+            for lab, m in zip(self._total.vertex_labels, self._vmask)
+        }
 
     def __hash__(self) -> int:
         return hash((self._base, self._total))
@@ -223,33 +269,28 @@ class Triangulation:
 
 def identity(complex_: SimplicialComplex) -> Triangulation:
     """The trivial triangulation: every face is its own carrier."""
-    if complex_.is_void:
-        return Triangulation(complex_, complex_, {}, validate=False)
-    carrier = {}
-    for f in complex_.faces():
-        labels = tuple(sorted(complex_.labels_of(f)))
-        carrier[labels] = labels
+    carrier = {(v,): (v,) for v in complex_.vertices}
     return Triangulation(complex_, complex_, carrier, validate=False)
 
 
-def _register_label(mapping: dict[str, LabelSet], label: str, value: LabelSet) -> None:
-    if label in mapping and mapping[label] != value:
+def _register_label(mapping: dict[tuple[str], Face], label: str, value: Face) -> None:
+    key = (label,)
+    if key in mapping and mapping[key] != value:
         raise PreconditionError(
             f"base labels make the subdivision label {label!r} ambiguous"
         )
-    mapping[label] = value
+    mapping[key] = value
 
 
 def barycentric(complex_: SimplicialComplex) -> Triangulation:
     """The barycentric subdivision: vertices are nonempty faces, faces are chains."""
     if complex_.is_void or complex_.is_empty:
         return identity(complex_)
-    vertex_carrier: dict[str, LabelSet] = {}
+    vertex_carrier: dict[tuple[str], Face] = {}
 
     def vlabel(idface: Face) -> str:
-        labels = sorted(complex_.labels_of(idface))
-        lab = "{" + ",".join(labels) + "}"
-        _register_label(vertex_carrier, lab, frozenset(labels))
+        lab = "{" + ",".join(sorted(complex_.labels_of(idface))) + "}"
+        _register_label(vertex_carrier, lab, idface)
         return lab
 
     chains: list[tuple[str, ...]] = []
@@ -262,16 +303,7 @@ def barycentric(complex_: SimplicialComplex) -> Triangulation:
                 chain.append(vlabel(tuple(sorted(acc))))
             chains.append(tuple(sorted(chain)))
     total = SimplicialComplex.from_facets(chains)
-    carrier: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
-    for f in total.faces():
-        labels = total.labels_of(f)
-        if not labels:
-            continue
-        union: set[str] = set()
-        for lab in labels:
-            union |= vertex_carrier[lab]
-        carrier[tuple(sorted(labels))] = tuple(sorted(union))
-    return Triangulation(complex_, total, carrier)
+    return Triangulation(complex_, total, vertex_carrier)
 
 
 def _maximal_cliques(nodes: list, adjacency: dict) -> list[frozenset]:
@@ -302,12 +334,13 @@ def antiprism(complex_: SimplicialComplex) -> Triangulation:
     """
     if complex_.is_void or complex_.is_empty:
         return identity(complex_)
-    vertex_carrier: dict[str, LabelSet] = {}
+    vertex_carrier: dict[tuple[str], Face] = {}
 
     def node_label(fset: frozenset[int], point: int) -> str:
-        labels = sorted(complex_.labels_of(tuple(sorted(fset))))
+        ids = tuple(sorted(fset))
+        labels = sorted(complex_.labels_of(ids))
         lab = "({" + ",".join(labels) + "}," + complex_.table.label(point) + ")"
-        _register_label(vertex_carrier, lab, frozenset(labels))
+        _register_label(vertex_carrier, lab, ids)
         return lab
 
     def compatible(a: tuple[frozenset[int], int], b: tuple[frozenset[int], int]) -> bool:
@@ -335,16 +368,7 @@ def antiprism(complex_: SimplicialComplex) -> Triangulation:
         for clique in _maximal_cliques(nodes, adjacency):
             facet_sets.add(frozenset(node_label(f, v) for f, v in clique))
     total = SimplicialComplex.from_facets([sorted(fs) for fs in facet_sets])
-    carrier: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
-    for f in total.faces():
-        labels = total.labels_of(f)
-        if not labels:
-            continue
-        union: set[str] = set()
-        for lab in labels:
-            union |= vertex_carrier[lab]
-        carrier[tuple(sorted(labels))] = tuple(sorted(union))
-    return Triangulation(complex_, total, carrier)
+    return Triangulation(complex_, total, vertex_carrier)
 
 
 def stellar(
@@ -370,14 +394,8 @@ def stellar(
         else:
             facets.append(tuple(sorted(flabels)))
     total = SimplicialComplex.from_facets(facets)
-    carrier: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for f in total.faces():
-        labels = total.labels_of(f)
-        if new_label in labels:
-            others = [lab for lab in labels if lab != new_label]
-            carrier[tuple(sorted(labels))] = tuple(sorted(face_labels | set(others)))
-        else:
-            carrier[tuple(sorted(labels))] = tuple(sorted(labels))
+    carrier = {(lab,): (lab,) for lab in total.vertex_labels if lab != new_label}
+    carrier[(new_label,)] = fids
     return Triangulation(complex_, total, carrier)
 
 
@@ -397,15 +415,12 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
     order = sorted(complex_.vertices)
     pos = {v: i for i, v in enumerate(order)}
     m = len(order)
-    vertex_carrier: dict[str, LabelSet] = {}
+    vertex_carrier: dict[tuple[str], Face] = {}
 
     def node_label(u: tuple[int, ...]) -> str:
-        parts = [
+        support = tuple(order[i] for i in range(m) if u[i])
+        lab = "+".join(
             f"{complex_.table.label(order[i])}:{u[i]}" for i in range(m) if u[i]
-        ]
-        lab = "+".join(parts)
-        support = frozenset(
-            complex_.table.label(order[i]) for i in range(m) if u[i]
         )
         _register_label(vertex_carrier, lab, support)
         return lab
@@ -439,16 +454,7 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
         for clique in _maximal_cliques(nodes, adjacency):
             facet_sets.add(frozenset(node_label(u) for u in clique))
     total = SimplicialComplex.from_facets([sorted(fs) for fs in facet_sets])
-    carrier: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
-    for f in total.faces():
-        labels = total.labels_of(f)
-        if not labels:
-            continue
-        union: set[str] = set()
-        for lab in labels:
-            union |= vertex_carrier[lab]
-        carrier[tuple(sorted(labels))] = tuple(sorted(union))
-    return Triangulation(complex_, total, carrier)
+    return Triangulation(complex_, total, vertex_carrier)
 
 
 def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
@@ -461,11 +467,11 @@ def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
         raise PreconditionError(
             "compose needs outer.base equal to inner.total (same labels)"
         )
-    inner_map = inner.carrier_map
-    outer_map = outer.carrier_map
-    carrier = {
-        tuple(sorted(k)): tuple(sorted(inner_map[v])) for k, v in outer_map.items()
-    }
+    # outer's base ids and inner's total ids may order the labels differently
+    to_inner = [inner.total.table.id(lab) for lab in outer.base.vertex_labels]
+    carrier = {}
+    for v, mask in enumerate(outer._vmask):
+        carrier[(v,)] = _ids(inner._carrier_mask([to_inner[b] for b in _ids(mask)]))
     return Triangulation(inner.base, outer.total, carrier)
 
 
@@ -585,44 +591,26 @@ def parse_triangulation_text(text: str) -> Triangulation:
     except MalformedFaceError as exc:
         raise FileFormatError(f"bad carrier face: {exc}") from exc
 
-    given: dict[frozenset[str], tuple[str, ...]] = {}
+    given: dict[tuple[str, ...], tuple[str, ...]] = {}
     for lhs, rhs in carrier_lines:
         try:
             total._face_arg(lhs)
         except (NotAFaceError, MalformedFaceError) as exc:
             raise FileFormatError(f"carrier line for a non-face: {' '.join(lhs)}") from exc
-        key = frozenset(lhs)
-        if key in given and given[key] != rhs:
+        if lhs in given and given[lhs] != rhs:
             raise FileFormatError(
                 f"conflicting carrier lines for face {' '.join(lhs) or _EMPTY_FACE_TOKEN}"
             )
-        given[key] = rhs
+        given[lhs] = rhs
 
-    vertex_carrier: dict[str, frozenset[str]] = {}
-    for v in sorted(total.vertex_labels):
-        key = frozenset((v,))
-        if key not in given:
+    for v in total.vertex_labels:
+        if (v,) not in given:
             raise FileFormatError(
                 f"missing carrier line for vertex {v!r}; vertex carriers are required"
             )
-        vertex_carrier[v] = frozenset(given[key])
-
-    carrier: dict[tuple[str, ...], tuple[str, ...]] = {(): ()}
-    for f in total.faces():
-        labels = total.labels_of(f)
-        if not labels:
-            continue
-        key = frozenset(labels)
-        if key in given:
-            carrier[tuple(sorted(labels))] = given[key]
-        else:
-            union: set[str] = set()
-            for v in labels:
-                union |= vertex_carrier[v]
-            carrier[tuple(sorted(labels))] = tuple(sorted(union))
-    if frozenset() in given and given[frozenset()] != ():
+    if given.get((), ()) != ():
         raise FileFormatError("the empty face must carry to the empty face")
-    return Triangulation(base, total, carrier)
+    return Triangulation(base, total, given)
 
 
 def write_triangulation_file(path, tri: Triangulation) -> None:
@@ -631,5 +619,4 @@ def write_triangulation_file(path, tri: Triangulation) -> None:
 
 
 def read_triangulation_file(path) -> Triangulation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_triangulation_text(fh.read())
+    return parse_triangulation_text(_read_text_file(path))

@@ -88,6 +88,18 @@ def test_compute_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "classify"])
+def test_non_utf8_input_exits_cleanly(tmp_path, capsys, command):
+    target = tmp_path / "input.txt"
+    target.write_bytes(b"\xff\xfea b c\n")
+    rc = main([command, str(target)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------- subdivide
 
 

@@ -142,6 +142,12 @@ def test_betti_rejects_void_and_bad_field():
         betti(EMPTY, 4)
 
 
+def test_betti_rejects_huge_composite_field_exactly():
+    # too large for a float square root; the primality check stays integral
+    with pytest.raises(PreconditionError, match="is not prime"):
+        betti(simplex("ab"), field=10**400)
+
+
 # ------------------------------------------------------ spheres and balls
 
 

@@ -12,6 +12,7 @@ import pytest
 from thetalab import (
     FileFormatError,
     InvalidTriangulationError,
+    NotAFaceError,
     PreconditionError,
     SimplicialComplex,
     ThetaClass,
@@ -293,3 +294,121 @@ def test_parse_triangulation_reconstructs_base():
     assert tri.base == simplex("ab")
     assert tri.carrier_labels(("a", "m")) == ("a", "b")
     assert len(tri.total.facets) == 2
+
+
+# ------------------------------------------------ carriers as vertex unions
+
+
+def _kinds_on_small_bases():
+    from thetalab import harness
+
+    for bname, base in harness.corpus():
+        if base.dim is not None and base.dim <= 2:
+            for kname, maker in harness.subdivision_kinds():
+                yield f"{kname}({bname})", kname, base, maker
+
+
+_SMALL_CASES = list(_kinds_on_small_bases())
+_FRESH = {
+    "identity": identity,
+    "sd": barycentric,
+    "antiprism": antiprism,
+    "esd2": lambda c: edgewise(c, 2),
+    "esd3": lambda c: edgewise(c, 3),
+}
+
+
+def _union_carrier_map(tri):
+    """Every face's carrier as the union of its vertices' carriers, by label."""
+    vertex = {v: set(tri.carrier_labels((v,))) for v in tri.total.vertex_labels}
+    out = {}
+    for face in tri.total.faces():
+        labels = tri.total.labels_of(face)
+        out[frozenset(labels)] = frozenset().union(*(vertex[v] for v in labels))
+    return out
+
+
+@pytest.mark.parametrize("name,kind,base,maker", _SMALL_CASES,
+                         ids=[case[0] for case in _SMALL_CASES])
+def test_carriers_are_vertex_unions(name, kind, base, maker):
+    tri = maker(base)
+    full = tri.carrier_map
+    assert full == _union_carrier_map(tri)
+    assert Triangulation(tri.base, tri.total, full) == tri
+    for face in tri.base.faces():
+        labels = tri.base.labels_of(face)
+        sub = tri.restriction(labels)
+        assert sub.base == simplex(labels)
+        assert sub.carrier_map == {
+            k: v for k, v in full.items() if v <= frozenset(labels)}
+        if kind in _FRESH:
+            assert sub == _FRESH[kind](simplex(labels))
+
+
+def test_equality_ignores_label_table_order():
+    backwards = SimplicialComplex.from_facets([(0, 1, 2)], labels=["c", "b", "a"])
+    assert backwards.table != simplex("abc").table
+    # edgewise is left out: its vertices depend on the base's vertex order
+    for maker in (identity, barycentric, antiprism,
+                  lambda c: stellar(c, ("a", "b"), "m")):
+        assert maker(backwards) == maker(simplex("abc"))
+        assert maker(backwards).carrier_map == maker(simplex("abc")).carrier_map
+    assert backwards.face(("a",)) != simplex("abc").face(("a",))
+    assert identity(backwards).carrier_of(("a",)) == backwards.face(("a",))
+
+
+def test_equality_compares_carriers():
+    base, total = simplex("ab"), path(2)
+    one = Triangulation(base, total, {("v0",): "a", ("v1",): "ab", ("v2",): "b"})
+    two = Triangulation(base, total, {("v0",): "b", ("v1",): "ab", ("v2",): "a"})
+    assert one != two
+    assert one.carrier_labels(("v0", "v1")) == ("a", "b")
+
+
+# ------------------------------------------------- the constructor contract
+
+
+def test_vertex_carriers_suffice():
+    tri = barycentric(simplex("abc"))
+    vertex_only = {(v,): tri.carrier_labels((v,)) for v in tri.total.vertex_labels}
+    built = Triangulation(tri.base, tri.total, vertex_only)
+    assert built == Triangulation(tri.base, tri.total, tri.carrier_map) == tri
+    assert built.carrier_map == tri.carrier_map
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_higher_carrier_must_equal_vertex_union(validate):
+    base = simplex("abc")
+    vertices = {("a",): ("a",), ("b",): ("b",), ("c",): ("c",)}
+    Triangulation(base, base, {**vertices, ("a", "b"): ("a", "b")}, validate=validate)
+    with pytest.raises(InvalidTriangulationError, match="union"):
+        Triangulation(base, base, {**vertices, ("a", "b"): ("a", "b", "c")},
+                      validate=validate)
+    with pytest.raises(InvalidTriangulationError):
+        Triangulation(base, base, {**vertices, (): ("a",)}, validate=validate)
+
+
+def test_vertex_union_must_be_a_base_face():
+    base = SimplicialComplex.from_facets([("a", "b"), ("b", "c")])
+    total = simplex("xy")
+    with pytest.raises(InvalidTriangulationError, match="not a face of the base"):
+        Triangulation(base, total, {("x",): ("a",), ("y",): ("c",)})
+
+
+def test_validate_rejects_empty_and_non_pure_restrictions():
+    with pytest.raises(InvalidTriangulationError, match="empty carrier"):
+        Triangulation(simplex("a"), simplex("xy"), {("x",): ("a",), ("y",): ()})
+    # a triangle with a dangling edge zw over the triangle abc: every
+    # restriction is a ball by Euler characteristic, but abc's is not pure
+    total = SimplicialComplex.from_facets([("x", "y", "z"), ("z", "w")])
+    carrier = {("x",): ("a",), ("y",): ("b",), ("z",): ("c",), ("w",): ("a", "b", "c")}
+    Triangulation(simplex("abc"), total, carrier, validate=False)
+    with pytest.raises(InvalidTriangulationError, match="not pure"):
+        Triangulation(simplex("abc"), total, carrier)
+
+
+def test_carrier_keys_must_be_faces():
+    base = path(2)
+    carrier = {(v,): (v,) for v in base.vertex_labels}
+    with pytest.raises(NotAFaceError):
+        Triangulation(base, base, {**carrier, ("v0", "v2"): ("v0", "v2")})
