@@ -73,6 +73,14 @@ class LabelTable:
     def labels_of(self, face: Face) -> tuple[str, ...]:
         return tuple(self._labels[v] for v in face)
 
+    def _restricted(self, vids: Iterable[int]) -> "LabelTable":
+        """The table of the given ids' labels, in the order given; they are
+        valid and distinct already, so they are not validated again."""
+        table = LabelTable.__new__(LabelTable)
+        table._labels = self.labels_of(vids)
+        table._index = {lab: i for i, lab in enumerate(table._labels)}
+        return table
+
     def __len__(self) -> int:
         return len(self._labels)
 
@@ -102,7 +110,7 @@ def _as_id_face(face: Iterable[int]) -> Face:
     return out
 
 
-def _maximal(faces: Iterable[Face]) -> tuple[Face, ...]:
+def _maximal(faces: Iterable[Face]) -> list[Face]:
     # distinct faces of equal size never contain one another, so domination
     # is only tested against the strictly larger faces already kept
     ordered = sorted(set(faces), key=lambda f: (-len(f), f))
@@ -118,7 +126,7 @@ def _maximal(faces: Iterable[Face]) -> tuple[Face, ...]:
         if not any(fs <= kept_sets[i] for i in range(larger)):
             kept.append(f)
             kept_sets.append(fs)
-    return tuple(sorted(kept))
+    return kept
 
 
 class SimplicialComplex:
@@ -129,7 +137,8 @@ class SimplicialComplex:
     different routes agree whenever their faces agree.
     """
 
-    __slots__ = ("_table", "_facets", "_all_faces", "_by_dim", "_facet_labelsets")
+    __slots__ = ("_table", "_facets", "_all_faces", "_by_dim", "_facet_labelsets",
+                 "_stars")
 
     def __init__(self, table: LabelTable, facets: tuple[Face, ...]):
         # Internal constructor: `from_facets` is the validated entry point.
@@ -138,6 +147,7 @@ class SimplicialComplex:
         self._all_faces: frozenset[Face] | None = None
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
         self._facet_labelsets: frozenset[frozenset[str]] | None = None
+        self._stars: list[list[Face]] | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable], labels=None) -> "SimplicialComplex":
@@ -163,14 +173,18 @@ class SimplicialComplex:
             for f in id_faces:
                 if f and f[-1] >= len(table):
                     raise MalformedFaceError(f"vertex id {f[-1]} outside label table")
-        maximal = _maximal(id_faces)
-        used = sorted({v for f in maximal for v in f})
+        return cls._on_ids(table, _maximal(id_faces))
+
+    @classmethod
+    def _on_ids(cls, table: LabelTable, facets: list[Face]) -> "SimplicialComplex":
+        """The complex with these distinct, maximal id facets of a validated
+        table, keeping only the vertices that occur, in the table's id order."""
+        used = sorted({v for f in facets for v in f})
         if len(used) != len(table):
-            # keep only used vertices, preserving the original id order
             remap = {old: new for new, old in enumerate(used)}
-            table = LabelTable(table.label(v) for v in used)
-            maximal = tuple(sorted(tuple(remap[v] for v in f) for f in maximal))
-        return cls(table, maximal)
+            table = table._restricted(used)
+            facets = [tuple(remap[v] for v in f) for f in facets]
+        return cls(table, tuple(sorted(facets)))
 
     # ---------------------------------------------------------------- basics
 
@@ -254,19 +268,37 @@ class SimplicialComplex:
         else:
             face = _as_id_face(face)
         if face not in self.faces():
-            raise NotAFaceError(f"{self.labels_of(face) if face else '()'} is not a face")
+            known = face and face[-1] < len(self._table)
+            raise NotAFaceError(f"{self.labels_of(face) if known else face} is not a face")
         return face
 
     # ------------------------------------------------------------ operations
 
+    def _star_index(self) -> list[list[Face]]:
+        """For each vertex id, the facets containing it."""
+        if self._stars is None:
+            stars: list[list[Face]] = [[] for _ in range(len(self._table))]
+            for facet in self._facets:
+                for v in facet:
+                    stars[v].append(facet)
+            self._stars = stars
+        return self._stars
+
     def link(self, face) -> "SimplicialComplex":
+        """The link of a face, built on ids from the cached star index.
+
+        Its facets are F minus the face for the facets F containing the face,
+        distinct and maximal because the F are; its label table keeps this
+        complex's id order.
+        """
         face = self._face_arg(face)
-        fs = frozenset(face)
-        rest = [tuple(v for v in facet if v not in fs)
-                for facet in self._facets if fs <= frozenset(facet)]
-        labels = self._table
-        return SimplicialComplex.from_facets(
-            [labels.labels_of(f) for f in rest])
+        star = self._facets
+        if face:
+            stars = self._star_index()
+            star = [f for f in stars[min(face, key=lambda v: len(stars[v]))]
+                    if all(v in f for v in face)]
+        return SimplicialComplex._on_ids(
+            self._table, [tuple(v for v in f if v not in face) for f in star])
 
     def induced(self, vertices) -> "SimplicialComplex":
         """Induced subcomplex on a vertex subset (ids or labels)."""

@@ -1,15 +1,18 @@
 """Reduced simplicial homology over exact fields, and what it classifies.
 
 Betti numbers are computed from ranks of boundary matrices.  The default
-field is the rationals; ranks over Q are obtained by integer row elimination
-with per-row gcd normalization, so no floating point or rounding ever enters.
-A prime p selects the field Z/p instead.
+field is the rationals; a prime p selects the field Z/p instead.  Ranks come
+from sparse column reduction: each boundary column is a {row: +-1} dict,
+reduced against pivots keyed by lowest row, fraction-free with gcd division
+over Q and with modular inverses over Z/p, so no floating point or rounding
+ever enters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import Face, SimplicialComplex
 from .errors import PreconditionError
@@ -26,77 +29,45 @@ def _validate_field(field: int | None) -> int | None:
     return field
 
 
-def _rank_rational(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, by exact cross-multiplication.
+def _rank(columns: Iterable[dict[int, int]], p: int | None) -> int:
+    """Rank over Q (p None) or Z/p of a matrix given by sparse integer columns.
 
-    Eliminating row r below pivot row p uses r := pivot*r - lead*p, which
-    preserves rank over Q; dividing each row by its gcd keeps entries small
-    for the incidence matrices that arise here.
+    Each column is reduced against a pivot table keyed by the lowest (largest)
+    row of the columns kept so far; a column that reaches a free lowest row
+    becomes that row's pivot, and the pivots count the rank.  Over Q a step is
+    the fraction-free v := b*v - a*w, with the gcd divided out, or v - (a/b)*w
+    when b divides a; over Z/p pivots are scaled to a leading 1 by a modular
+    inverse.  No fractions or floats arise.
     """
-    rows = [row[:] for row in rows if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot_idx = None
-        best = None
-        for i in range(rank, len(rows)):
-            v = rows[i][col]
-            if v and (best is None or abs(v) < best):
-                best = abs(v)
-                pivot_idx = i
-                if best == 1:
-                    break
-        if pivot_idx is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_idx] = rows[pivot_idx], rows[rank]
-        pivot_row = rows[rank]
-        pv = pivot_row[col]
-        for i in range(rank + 1, len(rows)):
-            lead = rows[i][col]
-            if lead:
-                row = rows[i]
-                for j in range(col, ncols):
-                    row[j] = pv * row[j] - lead * pivot_row[j]
-                g = 0
-                for v in row:
-                    g = math.gcd(g, v)
-                    if g == 1:
-                        break
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                if p is not None:
+                    inv = pow(col[low], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[low] = col
+                break
+            a, b = col[low], piv[low]
+            scaled = a % b != 0  # never over Z/p, where b == 1
+            if scaled:
+                col = {r: b * v for r, v in col.items()}
+            q = a if scaled else a // b
+            for r, w in piv.items():
+                v = col.get(r, 0) - q * w
+                if p is not None:
+                    v %= p
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+            if scaled and col:
+                g = math.gcd(*col.values())
                 if g > 1:
-                    rows[i] = [v // g for v in row]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    rows = [[v % p for v in row] for row in rows]
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot_idx = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_idx is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_idx] = rows[pivot_idx], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        pivot_row = [v * inv % p for v in rows[rank]]
-        rows[rank] = pivot_row
-        for i in range(rank + 1, len(rows)):
-            lead = rows[i][col]
-            if lead:
-                rows[i] = [(v - lead * w) % p for v, w in zip(rows[i], pivot_row)]
-        rank += 1
-        col += 1
-    return rank
+                    col = {r: v // g for r, v in col.items()}
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -125,33 +96,18 @@ def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProf
     field = _validate_field(field)
     if complex_.is_void:
         raise PreconditionError("homology of the void complex is undefined")
-    dim = complex_.dim
-    by_dim = {d: complex_.faces_of_dim(d) for d in range(-1, dim + 1)}
-    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
-
-    def boundary_rank(d: int) -> int:
-        # rows are (d-1)-faces, columns are d-faces
-        cols = by_dim.get(d, ())
-        rows_faces = by_dim.get(d - 1, ())
-        if not cols or not rows_faces:
-            return 0
-        rows = [[0] * len(cols) for _ in rows_faces]
-        for j, face in enumerate(cols):
-            for t in range(len(face)):
-                sub = face[:t] + face[t + 1:]
-                rows[index[d - 1][sub]][j] = -1 if t % 2 else 1
-        if field is None:
-            return _rank_rational(rows)
-        return _rank_mod_p(rows, field)
-
-    ranks = {d: boundary_rank(d) for d in range(0, dim + 1)}
-    ranks[dim + 1] = 0
-    out = []
-    for d in range(-1, dim + 1):
-        n_cells = len(by_dim[d])
-        lower = ranks.get(d, 0)
-        out.append(n_cells - lower - ranks[d + 1])
-    return HomologyProfile(tuple(out))
+    by_dim = [complex_.faces_of_dim(d) for d in range(-1, complex_.dim + 1)]
+    # ranks[j] is the rank of the boundary map out of by_dim[j]
+    ranks = [0]
+    for rows, cols in zip(by_dim, by_dim[1:]):
+        index = {f: i for i, f in enumerate(rows)}
+        ranks.append(_rank(
+            ({index[f[:t] + f[t + 1:]]: -1 if t % 2 else 1 for t in range(len(f))}
+             for f in cols),
+            field))
+    ranks.append(0)
+    return HomologyProfile(tuple(
+        len(faces) - ranks[j] - ranks[j + 1] for j, faces in enumerate(by_dim)))
 
 
 def _sphere_profile(dim: int) -> tuple[int, ...]:

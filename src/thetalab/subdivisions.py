@@ -404,15 +404,16 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
 
     Vertices are integer weightings of base vertices with total weight r and
     support in a face.  Two weightings are compatible when the difference of
-    their partial-sum vectors, taken in the base's vertex order, has entries
-    all in {0,1} or all in {0,-1}.
+    their partial-sum vectors, taken in the sorted order of the base's vertex
+    labels, has entries all in {0,1} or all in {0,-1}; so equal bases give
+    equal subdivisions, whatever their id order.
     """
     if int(r) != r or r < 1:
         raise PreconditionError(f"edgewise subdivision needs an integer r >= 1, got {r}")
     r = int(r)
     if complex_.is_void or complex_.is_empty or r == 1:
         return identity(complex_)
-    order = sorted(complex_.vertices)
+    order = sorted(complex_.vertices, key=complex_.table.label)
     pos = {v: i for i, v in enumerate(order)}
     m = len(order)
     vertex_carrier: dict[tuple[str], Face] = {}

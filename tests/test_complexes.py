@@ -97,6 +97,57 @@ def test_link():
     assert edge.f_vector() == (1, 2)
 
 
+def _reversed_table(c):
+    """c again, with its label table in reverse id order."""
+    n = len(c.vertex_labels)
+    return SimplicialComplex.from_facets(
+        [[n - 1 - v for v in f] for f in c.facets],
+        labels=list(reversed(c.vertex_labels)))
+
+
+def _link_by_labels(c, labels):
+    """The link straight from its definition, built from labels."""
+    sigma = set(labels)
+    return SimplicialComplex.from_facets(
+        [[lab for lab in c.labels_of(f) if lab not in sigma]
+         for f in c.facets if sigma <= set(c.labels_of(f))])
+
+
+LINK_CASES = [
+    EMPTY,
+    cycle(5),
+    octahedron(),
+    example_5_2_ball(),
+    example_5_4_ball(),
+    SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d"), ("e",)]),
+    _reversed_table(example_5_4_ball()),
+    _reversed_table(SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d"), ("e",)])),
+]
+
+
+@pytest.mark.parametrize("idx", range(len(LINK_CASES)))
+def test_link_matches_label_definition(idx):
+    c = LINK_CASES[idx]
+    for face in c.faces():
+        labels = c.labels_of(face)
+        lk = c.link(face)
+        assert lk == _link_by_labels(c, labels)
+        assert lk == c.link(labels)
+        # the link keeps the complex's id order on the labels it uses
+        assert lk.vertex_labels == tuple(
+            lab for lab in c.vertex_labels if lab in lk.table)
+
+
+def test_link_rejects_non_faces():
+    c = _reversed_table(example_5_4_ball())
+    assert c.vertex_labels != tuple(sorted(c.vertex_labels))
+    for bad in [("a1", "b1"), ("u1", "u2"), ("nope",), (len(c.vertex_labels),)]:
+        with pytest.raises(NotAFaceError):
+            c.link(bad)
+    with pytest.raises(MalformedFaceError):
+        c.link((0, 0))
+
+
 def test_induced_and_delete_vertex():
     c = cycle(4)
     sub = c.induced(["v0", "v1", "v2"])

@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetalab import (
     PreconditionError,
@@ -17,6 +18,7 @@ from thetalab import (
     boundary_subcomplex,
     boundary_simplex,
     cycle,
+    edgewise,
     example_5_2_ball,
     example_5_4_ball,
     has_interior_vertex_property,
@@ -87,6 +89,16 @@ def _oracle_betti(c, p=None):
     return tuple(out)
 
 
+def _projective_plane():
+    """Six-vertex triangulation of the real projective plane."""
+    facets = [
+        (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+    ]
+    return SimplicialComplex.from_facets(
+        [tuple(f"v{i}" for i in f) for f in facets])
+
+
 ORACLE_CORPUS = [
     EMPTY,
     simplex(["a"]),
@@ -98,6 +110,8 @@ ORACLE_CORPUS = [
     example_5_2_ball(),
     SimplicialComplex.from_facets([("a", "b"), ("c", "d")]),  # disconnected
     SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d"), ("d", "e", "f")]),
+    _projective_plane(),
+    edgewise(example_5_2_ball(), 2).total,  # a subdivided 3-ball, 328 faces
 ]
 
 
@@ -108,14 +122,13 @@ def test_betti_matches_oracle(idx):
     assert betti(c, 2).betti == _oracle_betti(c, 2)
 
 
-def _projective_plane():
-    """Six-vertex triangulation of the real projective plane."""
-    facets = [
-        (1, 2, 3), (1, 3, 4), (1, 2, 6), (1, 4, 5), (1, 5, 6),
-        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
-    ]
-    return SimplicialComplex.from_facets(
-        [tuple(f"v{i}" for i in f) for f in facets])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=7), min_size=1, max_size=8))
+def test_betti_matches_oracle_on_random_complexes(facets):
+    c = SimplicialComplex.from_facets(
+        [sorted(f"v{i}" for i in f) for f in facets])
+    for p in (None, 2, 3):
+        assert betti(c, p).betti == _oracle_betti(c, p)
 
 
 def test_betti_depends_on_field():
