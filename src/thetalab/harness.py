@@ -50,6 +50,7 @@ from .homology import (
     no_facet_on_union_boundaries,
 )
 from .invariants import (
+    _local_h_at,
     h_poly,
     h_vector,
     is_alternatingly_increasing,
@@ -153,7 +154,6 @@ _Key = frozenset
 _BALL_MEMO: dict[_Key, SimplicialComplex | None] = {}
 _SPHERE_MEMO: dict[_Key, bool] = {}
 _THETA_MEMO: dict[_Key, IntPoly] = {}
-_LOCAL_H_MEMO: dict[tuple[_Key, _Key], IntPoly] = {}
 _SD_MEMO: dict[_Key, tuple[IntPoly, IntPoly | None]] = {}
 _FLAGS_MEMO: dict[tuple[_Key, str | None], "TriangulationFlags"] = {}
 _PROFILE_MEMO: dict[_Key, "BaseProfile"] = {}
@@ -231,15 +231,6 @@ def theta_verified(c: SimplicialComplex) -> IntPoly:
         val = theta(c, bd)
     _THETA_MEMO[key] = val
     return val
-
-
-def _local_h_cached(tri: Triangulation) -> IntPoly:
-    key = (_key(tri.base), _key(tri.total))
-    got = _LOCAL_H_MEMO.get(key)
-    if got is None:
-        got = local_h(tri)
-        _LOCAL_H_MEMO[key] = got
-    return got
 
 
 def _sd_invariants(c: SimplicialComplex) -> tuple[IntPoly, IntPoly | None]:
@@ -356,19 +347,25 @@ def _theta_simplex(size: int) -> IntPoly:
 class RestrictionEngine:
     """theta and local h of the restrictions of one triangulation.
 
-    The uniform subdivisions (sd, antiprism, edgewise) restrict to the same
-    subdivision of the carrier simplex, so their invariants depend only on
-    the carrier size; this is asserted against a freshly built copy once per
-    size, then reused.  Restrictions equal to the carrier simplex itself have
-    local h = 0 and the simplex theta.
+    Local h of a restriction is read from the parent's carrier histogram
+    (see invariants): for a base face E, the sum over faces F carried inside
+    E of (-1)^(|E|-|sigma(F)|) x^(|E|-|sigma(F)|+|F|) (1-x)^(|sigma(F)|-|F|),
+    so no restriction is built; it assumes a validated triangulation.
+
+    theta needs each restriction certified as a ball, so it is computed on
+    the restriction.  The uniform subdivisions (sd, antiprism, edgewise)
+    restrict to the same subdivision of the carrier simplex, so their theta
+    depends only on the carrier size; this is asserted against a freshly
+    built copy once per size, then reused.  Restrictions equal to the
+    carrier simplex itself have the simplex theta.
     """
 
     def __init__(self, tri: Triangulation, kind: str | None = None):
         self._tri = tri
         self._maker = _UNIFORM_MAKERS.get(kind) if kind else None
-        self._by_size: dict[int, tuple[IntPoly, IntPoly]] = {}
+        self._by_size: dict[int, IntPoly] = {}
 
-    def _uniform(self, labels: tuple[str, ...]) -> tuple[IntPoly, IntPoly] | None:
+    def _uniform(self, labels: tuple[str, ...]) -> IntPoly | None:
         if self._maker is None:
             return None
         size = len(labels)
@@ -380,7 +377,7 @@ class RestrictionEngine:
                     f"restriction to {sorted(labels)} differs from the fresh"
                     " subdivision of its carrier simplex"
                 )
-            got = (theta_verified(fresh.total), _local_h_cached(fresh))
+            got = theta_verified(fresh.total)
             self._by_size[size] = got
         return got
 
@@ -389,22 +386,14 @@ class RestrictionEngine:
             return IntPoly.one()
         uniform = self._uniform(labels)
         if uniform is not None:
-            return uniform[0]
+            return uniform
         sub = self._tri.restriction(labels)
         if sub.total == sub.base:
             return _theta_simplex(len(labels))
         return theta_verified(sub.total)
 
     def local_h_of(self, labels: tuple[str, ...]) -> IntPoly:
-        if not labels:
-            return IntPoly.one()
-        uniform = self._uniform(labels)
-        if uniform is not None:
-            return uniform[1]
-        sub = self._tri.restriction(labels)
-        if sub.total == sub.base:
-            return IntPoly.zero()
-        return _local_h_cached(sub)
+        return _local_h_at(self._tri, self._tri.base._face_arg(labels))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -491,7 +480,7 @@ def verify_kms(
         raise PreconditionError("the convolution needs a triangulated simplex")
     engine = RestrictionEngine(tri, kind)
     nverts = len(base.vertices)
-    lhs = _local_h_cached(tri)
+    lhs = local_h(tri)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
         labels = tuple(sorted(base.labels_of(face)))
@@ -1364,7 +1353,7 @@ def _local_h_corollary_reports(
 ) -> list[VerificationReport]:
     nverts = len(base.vertices)
     flags = triangulation_theta_flags(tri, kname)
-    ell = _local_h_cached(tri)
+    ell = local_h(tri)
     d_n = derangement_poly(nverts)
     out = []
     if flags.positive:
@@ -1422,14 +1411,14 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
         for iname, imaker in inner_kinds:
             inner = imaker(base)
             sd_inner = compose(barycentric(inner.total), inner)
-            ell_sd = _local_h_cached(sd_inner)
+            ell_sd = local_h(sd_inner)
             for oname, omaker, okind in outer_kinds:
                 if okind == "antiprism" and dim >= 3 and iname != "identity":
                     continue
                 outer = omaker(inner.total)
                 composed = compose(outer, inner)
                 inst = f"{oname}({iname}(simplex{dim}))"
-                ell = _local_h_cached(composed)
+                ell = local_h(composed)
                 flags = triangulation_theta_flags(outer, okind)
                 if flags.unimodal:
                     ok = is_nonnegative(ell) and is_unimodal(ell)
@@ -1649,7 +1638,7 @@ def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
                 targets.append(
                     ("antiprism", compose(antiprism(inner.total), inner)))
             for oname, composed in targets:
-                ell = _local_h_cached(composed)
+                ell = local_h(composed)
                 inst = f"{oname}({iname}(simplex{dim}))"
                 out.append(VerificationReport(
                     "Q6.3", inst, ell.text(), "real-rooted",
@@ -1658,10 +1647,16 @@ def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
     return out
 
 
+def _check_max_dim(max_dim: int) -> None:
+    if max_dim < 1:
+        raise PreconditionError("max_dim must be at least 1")
+
+
 def scan_reports(
     kind: str, seed: int = 0, max_dim: int = 3, samples: int = 3
 ) -> list[VerificationReport]:
     """Evidence reports for one exploratory scan: theta-zero or real-rooted."""
+    _check_max_dim(max_dim)
     if kind == "theta-zero":
         return _theta_zero_reports(seed, max_dim, samples)
     if kind == "real-rooted":
@@ -1713,8 +1708,7 @@ def run_suite(
     """
     if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if max_dim < 1:
-        raise PreconditionError("max_dim must be at least 1")
+    _check_max_dim(max_dim)
     threads = _resolve_threads(threads)
     tasks: list[Callable] = []
     if suite in ("locality", "all"):

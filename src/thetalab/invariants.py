@@ -3,15 +3,29 @@
 theta is always computed two independent ways (boundary subtraction and the
 partial-sum formula) and a ConsistencyError is raised if they disagree, so a
 successful call certifies its own arithmetic.
+
+Local h is read from the carrier histogram of a triangulation (the number of
+faces F of each size |F| with each carrier sigma(F)) in one pass, with no
+restriction rebuilt: for a base simplex E,
+
+    l_E(x) = sum over F with sigma(F) inside E of
+             (-1)^(|E|-|sigma(F)|) x^(|E|-|sigma(F)|+|F|) (1-x)^(|sigma(F)|-|F|),
+
+which is Stanley's inclusion-exclusion sum_W (-1)^(|E|-|W|) h(Gamma_W) over
+the subsets W of E with the h-polynomials expanded face by face.  Like that
+sum, it assumes a validated triangulation (each Gamma_W of dimension
+|W| - 1); every triangulation the library builds with validate=False is one.
 """
 
 from __future__ import annotations
 
-from .complexes import SimplicialComplex
+from math import comb
+
+from .complexes import Face, SimplicialComplex
 from .errors import ConsistencyError, PreconditionError
 from .homology import boundary_subcomplex, interior_faces
 from .polynomials import GammaVector, IntPoly, gamma_vector, pnk
-from .subdivisions import Triangulation
+from .subdivisions import Triangulation, _mask
 
 
 def h_poly(complex_: SimplicialComplex) -> IntPoly:
@@ -94,10 +108,16 @@ def theta(
 
 
 def local_h(tri: Triangulation) -> IntPoly:
-    """Local h-polynomial of a triangulation of a simplex.
+    """Local h-polynomial of a triangulation of a simplex on n vertices.
 
-    Inclusion-exclusion of the h-polynomials of the restrictions to all
-    subsets of the vertex set.
+    One sum over the carrier histogram, with sigma(F) the carrier of F:
+
+        sum over faces F of (-1)^(n-|sigma(F)|) x^(n-|sigma(F)|+|F|)
+                            (1-x)^(|sigma(F)|-|F|)
+
+    It equals the inclusion-exclusion of the h-polynomials of the
+    restrictions to all subsets of the vertex set, and like it assumes a
+    validated triangulation (see the module docstring).
     """
     base = tri.base
     if base.is_void:
@@ -106,12 +126,26 @@ def local_h(tri: Triangulation) -> IntPoly:
         raise PreconditionError(
             "local h is defined for triangulations of a single simplex"
         )
-    nverts = len(base.vertices)
-    acc = IntPoly.zero()
-    for face in base.faces():
-        sign = -1 if (nverts - len(face)) % 2 else 1
-        acc = acc + h_poly(tri.restriction(face).total) * sign
-    return acc
+    return _local_h_at(tri, base.facets[0])
+
+
+def _local_h_at(tri: Triangulation, face: Face) -> IntPoly:
+    """Local h of the restriction of tri to a base face (ids), from the
+    carrier histogram."""
+    size, mask = len(face), _mask(face)
+    hist = tri._carrier_histogram()
+    coeffs = [0] * (size + 1)
+    sub = mask
+    while True:
+        s = sub.bit_count()
+        for k, c in enumerate(hist.get(sub, ())):
+            # c (-1)^(size-s) x^(size-s+k) (1-x)^(s-k), expanded binomially
+            for j in range(s - k + 1):
+                coeffs[size - s + k + j] += (-1) ** (size - s + j) * c * comb(s - k, j)
+        if not sub:
+            break
+        sub = (sub - 1) & mask
+    return IntPoly(coeffs)
 
 
 def sphere_gamma(complex_: SimplicialComplex) -> GammaVector:

@@ -8,6 +8,11 @@ face's carrier is the OR of its vertices' masks.  The constructor takes the
 same mapping as the file format: every vertex of the total complex needs a
 carrier, and a higher face may be given one only if it equals the union.
 
+Each Triangulation caches its carrier histogram: for every carrier mask, the
+number of faces of each size carried there.  validate reads the Euler
+characteristics of all restrictions from it, and local h of the whole
+triangulation or of any restriction is a sum over it (see invariants).
+
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 """
 
@@ -27,7 +32,6 @@ from .complexes import (
     _read_text_file,
     fresh_label,
     parse_facet_text,
-    simplex,
 )
 from .errors import (
     FileFormatError,
@@ -58,7 +62,7 @@ def _mask_labels(complex_: SimplicialComplex, mask: int) -> list[str]:
 class Triangulation:
     """A total complex refining a base complex, with face carriers."""
 
-    __slots__ = ("_base", "_total", "_vmask", "_masks")
+    __slots__ = ("_base", "_total", "_vmask", "_masks", "_hist")
 
     def __init__(
         self,
@@ -71,6 +75,7 @@ class Triangulation:
         self._base = base
         self._total = total
         self._masks: dict[Face, int] | None = None
+        self._hist: dict[int, list[int]] | None = None
         vmask: list[int | None] = [None] * len(total.table)
         higher: list[tuple[Face, int]] = []
         for key, value in carrier.items():
@@ -123,6 +128,24 @@ class Triangulation:
             self._masks = {f: self._carrier_mask(f) for f in self._total.faces()}
         return self._masks
 
+    def _carrier_histogram(self) -> dict[int, list[int]]:
+        """Face counts by carrier mask (cached).
+
+        Entry k of the list at mask m counts the faces with k vertices and
+        carrier mask m; the empty face is counted at mask 0.  Every list has
+        dim + 2 entries, for the face sizes of the total complex.
+        """
+        if self._hist is None:
+            width = 0 if self._total.is_void else self._total.dim + 2
+            hist: dict[int, list[int]] = {}
+            for face, mask in self._face_masks().items():
+                counts = hist.get(mask)
+                if counts is None:
+                    counts = hist[mask] = [0] * width
+                counts[len(face)] += 1
+            self._hist = hist
+        return self._hist
+
     def carrier_of(self, face) -> Face:
         """Carrier of a total face, as a face (id tuple) of the base."""
         kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
@@ -147,7 +170,9 @@ class Triangulation:
         Besides bookkeeping (carriers are base faces, only the empty face has
         the empty carrier), this checks that the restriction to every base
         face is pure of the right dimension and has the Euler characteristic
-        of a ball, with vertices restricting to single points.
+        of a ball, with vertices restricting to single points.  Dimensions
+        and purity are checked face by face; Euler characteristics, full
+        dimension and single points come from the carrier histogram.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
@@ -159,58 +184,78 @@ class Triangulation:
                 "only the empty face may have an empty carrier"
             )
         base_masks = {_mask(f) for f in base.faces()}
-        buckets: dict[int, list[Face]] = {}
+        masks = self._face_masks()
         # carriers of the faces one vertex larger: a face of a restriction is
         # maximal there exactly when none of these lies inside the base face
-        up: dict[Face, set[int]] = {}
-        for face, mask in self._face_masks().items():
-            buckets.setdefault(mask, []).append(face)
-            for i in range(len(face)):
-                up.setdefault(face[:i] + face[i + 1 :], set()).add(mask)
-        for mask, faces in buckets.items():
+        up: dict[Face, list[int]] = {}
+        for face, mask in masks.items():
             if mask not in base_masks:
                 raise InvalidTriangulationError(
                     f"carrier {_mask_labels(base, mask)} of"
-                    f" {sorted(total.labels_of(faces[0]))} is not a face of the base"
+                    f" {sorted(total.labels_of(face))} is not a face of the base"
                 )
+            if len(face) > 1:
+                for sub in itertools.combinations(face, len(face) - 1):
+                    up.setdefault(sub, []).append(mask)
+        # the base faces one vertex larger than each base face
+        wider: dict[int, list[int]] = {}
+        for fmask in base_masks:
+            rest = fmask
+            while rest:
+                bit = rest & -rest
+                wider.setdefault(fmask ^ bit, []).append(fmask)
+                rest ^= bit
+        # a face m lies in the restriction to every base face containing
+        # sigma(m); it is maximal in some restriction of higher dimension
+        # exactly when it is maximal in the restriction to sigma(m) (when
+        # |m| < |sigma(m)|) or to some sigma(m) + w (when |m| = |sigma(m)|)
+        for face, mask in masks.items():
+            if not face:
+                continue
+            size = mask.bit_count()
+            if len(face) > size:
+                raise InvalidTriangulationError(
+                    f"restriction to {_mask_labels(base, mask)} has a face of"
+                    f" dimension above dim {size - 1}"
+                )
+            cofaces = up.get(face, ())
+            if len(face) < size:
+                maximal_in = () if mask in cofaces else (mask,)
+            else:
+                maximal_in = [w for w in wider.get(mask, ())
+                              if all(e & ~w for e in cofaces)]
+            if maximal_in:
+                raise InvalidTriangulationError(
+                    f"restriction to {_mask_labels(base, maximal_in[0])} is not"
+                    f" pure: {sorted(total.labels_of(face))} is maximal"
+                )
+        hist = self._carrier_histogram()
+        width = total.dim + 2
         for fmask in base_masks:
             if not fmask:
                 continue
-            labels = _mask_labels(base, fmask)
-            size = len(labels)
-            members: list[Face] = []
+            size = fmask.bit_count()
+            counts = [0] * width
             sub = fmask
             while sub:
-                members.extend(buckets.get(sub, ()))
+                for k, c in enumerate(hist.get(sub, ())):
+                    counts[k] += c
                 sub = (sub - 1) & fmask
-            has_top = False
-            euler = 0
-            for m in members:
-                euler += 1 if len(m) % 2 else -1
-                if len(m) == size:
-                    has_top = True
-                elif len(m) > size:
-                    raise InvalidTriangulationError(
-                        f"restriction to {labels} has a face of dimension"
-                        f" above dim {size - 1}"
-                    )
-                elif all(e & ~fmask for e in up.get(m, ())):
-                    raise InvalidTriangulationError(
-                        f"restriction to {labels} is not pure:"
-                        f" {sorted(total.labels_of(m))} is maximal"
-                    )
-            if not has_top:
+            if size >= width or not counts[size]:
                 raise InvalidTriangulationError(
-                    f"restriction to {labels} has no face of full dimension"
+                    f"restriction to {_mask_labels(base, fmask)} has no face of"
+                    " full dimension"
                 )
+            euler = sum(c if k % 2 else -c for k, c in enumerate(counts))
             if euler != 1:
                 raise InvalidTriangulationError(
-                    f"restriction to {labels} has reduced Euler"
+                    f"restriction to {_mask_labels(base, fmask)} has reduced Euler"
                     f" characteristic {euler - 1}, expected 0"
                 )
-            if size == 1 and len(members) != 1:
+            if size == 1 and sum(counts) != 1:
                 raise InvalidTriangulationError(
-                    f"restriction to the vertex {labels} must be a single point"
+                    f"restriction to the vertex {_mask_labels(base, fmask)} must be"
+                    " a single point"
                 )
 
     def restriction(self, face) -> "Triangulation":
@@ -229,9 +274,9 @@ class Triangulation:
             {tuple(filter(inside.__contains__, facet)) for facet in total.facets},
             labels=total.table,
         )
-        sub_base = simplex(base.labels_of(bface))
-        to_sub = {b: sub_base.table.id(base.table.label(b)) for b in bface}
-        # from_facets keeps the order of the kept ids when it renumbers them
+        # both constructors keep the order of the kept ids when they renumber
+        sub_base = SimplicialComplex._on_ids(base.table, [bface])
+        to_sub = {b: i for i, b in enumerate(bface)}
         carrier = {
             (i,): tuple(to_sub[b] for b in _ids(self._vmask[v]))
             for i, v in enumerate(kept)

@@ -188,6 +188,14 @@ def test_scan(tmp_path, capsys):
     assert "esd4(simplex3)" in vanishing
 
 
+@pytest.mark.parametrize("kind", ["theta-zero", "real-rooted"])
+def test_scan_rejects_max_dim_below_one(capsys, kind):
+    assert main(["scan", "--kind", kind, "--max-dim", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_dim must be at least 1\n"
+
+
 # ------------------------------------------------------------------ tables
 
 

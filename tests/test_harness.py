@@ -13,6 +13,7 @@ from thetalab import (
     example_5_2_ball,
     example_5_4_ball,
     identity,
+    local_h,
     octahedron,
     path,
     simplex,
@@ -20,6 +21,7 @@ from thetalab import (
 )
 from thetalab.harness import (
     InstanceGenerator,
+    RestrictionEngine,
     VerificationReport,
     check_conjecture_5_3,
     check_link_conjecture,
@@ -111,6 +113,19 @@ def test_verified_boundary_and_theta_verified():
     assert theta_verified(example_5_2_ball()) == P((0, 1, 0, 1))
     with pytest.raises(PreconditionError):
         theta_verified(octahedron())
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_engine_local_h_matches_rebuilt_restrictions(name):
+    base = dict(corpus())[name]
+    for kind, maker in subdivision_kinds():
+        tri = maker(base)
+        engine = RestrictionEngine(tri, kind)
+        for face in base.faces():
+            labels = tuple(sorted(base.labels_of(face)))
+            if labels:
+                assert engine.local_h_of(labels) == local_h(tri.restriction(labels)), (
+                    kind, labels)
 
 
 # ------------------------------------------------------------- single checks

@@ -31,6 +31,7 @@ from thetalab import (
     theta,
     theta_sd_closed_form,
 )
+from thetalab.harness import subdivision_kinds
 
 P = IntPoly
 VOID = SimplicialComplex.from_facets([])
@@ -142,6 +143,26 @@ def test_local_h_edgewise_is_symmetric_nonnegative():
     ell = local_h(tri)
     assert ell == reverse(ell, 4)
     assert all(v >= 0 for v in ell.coeffs)
+
+
+def _local_h_by_inclusion_exclusion(tri):
+    """Stanley's definition, kept as the reference route: the signed sum of
+    h(Gamma_W) over the faces W of the base simplex, each restriction rebuilt."""
+    n = len(tri.base.vertices)
+    acc = P.zero()
+    for face in tri.base.faces():
+        sign = -1 if (n - len(face)) % 2 else 1
+        acc = acc + h_poly(tri.restriction(face).total) * sign
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", [kind for kind, _ in subdivision_kinds()])
+def test_local_h_matches_inclusion_exclusion(kind, n):
+    # the kinds include sd.stellar: compose(barycentric(st.total), st) for st
+    # the stellar subdivision of the simplex at its facet
+    tri = dict(subdivision_kinds())[kind](simplex([f"v{i}" for i in range(n)]))
+    assert local_h(tri) == _local_h_by_inclusion_exclusion(tri)
 
 
 def test_local_h_needs_simplex_base():

@@ -8,6 +8,7 @@ which pin the combinatorics down independently of the carrier bookkeeping.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetalab import (
     FileFormatError,
@@ -33,7 +34,12 @@ from thetalab import (
     write_triangulation_file,
 )
 from thetalab.homology import boundary_subcomplex
-from thetalab.subdivisions import format_triangulation_text, parse_triangulation_text
+from thetalab.subdivisions import (
+    _mask,
+    _mask_labels,
+    format_triangulation_text,
+    parse_triangulation_text,
+)
 
 VOID = SimplicialComplex.from_facets([])
 EMPTY = SimplicialComplex.from_facets([()])
@@ -198,6 +204,15 @@ def test_restriction_matches_fresh_builds():
 
     ew = edgewise(simplex("abc"), 3)
     assert ew.restriction(("a", "b")).total == edgewise(simplex("ab"), 3).total
+
+
+def test_restriction_keeps_base_label_order():
+    backwards = SimplicialComplex.from_facets([(0, 1, 2)], labels=["c", "b", "a"])
+    for maker in (identity, barycentric, antiprism, lambda c: edgewise(c, 3)):
+        sub = maker(backwards).restriction(("a", "b"))
+        assert sub == maker(simplex("ab"))
+        assert sub.base.vertex_labels == ("b", "a")
+        assert sub.carrier_map == maker(simplex("ab")).carrier_map
 
 
 def test_restriction_to_empty_face():
@@ -411,3 +426,139 @@ def test_carrier_keys_must_be_faces():
     carrier = {(v,): (v,) for v in base.vertex_labels}
     with pytest.raises(NotAFaceError):
         Triangulation(base, base, {**carrier, ("v0", "v2"): ("v0", "v2")})
+
+
+# ------------------------------------- validate against the per-restriction rule
+
+
+def _per_restriction_validate(tri):
+    """The earlier validate, kept as the reference route: every restriction's
+    members enumerated and checked one base face at a time."""
+    base, total = tri.base, tri.total
+    if base.is_void != total.is_void:
+        raise InvalidTriangulationError("exactly one of base and total is void")
+    if total.is_void:
+        return
+    if 0 in tri._vmask:
+        raise InvalidTriangulationError("only the empty face may have an empty carrier")
+    base_masks = {_mask(f) for f in base.faces()}
+    buckets = {}
+    up = {}
+    for face, mask in tri._face_masks().items():
+        buckets.setdefault(mask, []).append(face)
+        for i in range(len(face)):
+            up.setdefault(face[:i] + face[i + 1:], set()).add(mask)
+    for mask, faces in buckets.items():
+        if mask not in base_masks:
+            raise InvalidTriangulationError("carrier is not a face of the base")
+    for fmask in base_masks:
+        if not fmask:
+            continue
+        labels = _mask_labels(base, fmask)
+        size = len(labels)
+        members = []
+        sub = fmask
+        while sub:
+            members.extend(buckets.get(sub, ()))
+            sub = (sub - 1) & fmask
+        has_top = False
+        euler = 0
+        for m in members:
+            euler += 1 if len(m) % 2 else -1
+            if len(m) == size:
+                has_top = True
+            elif len(m) > size:
+                raise InvalidTriangulationError("face of dimension above")
+            elif all(e & ~fmask for e in up.get(m, ())):
+                raise InvalidTriangulationError("not pure")
+        if not has_top:
+            raise InvalidTriangulationError("no face of full dimension")
+        if euler != 1:
+            raise InvalidTriangulationError("reduced Euler characteristic")
+        if size == 1 and len(members) != 1:
+            raise InvalidTriangulationError("single point")
+
+
+def _rejects(check, tri):
+    try:
+        check(tri)
+    except InvalidTriangulationError:
+        return True
+    return False
+
+
+_SMALL_TRIANGULATIONS = [
+    maker(base)
+    for base in (simplex("a"), simplex("ab"), simplex("abc"), path(2), cycle(4),
+                 SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d")]))
+    for maker in (identity, barycentric, antiprism, lambda c: edgewise(c, 2),
+                  lambda c: stellar(c, c.labels_of(c.facets[0])))
+]
+
+
+def _vertex_carriers(tri):
+    return {(v,): tri.carrier_labels((v,)) for v in tri.total.vertex_labels}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_per_restriction_rule(data):
+    tri = data.draw(st.sampled_from(_SMALL_TRIANGULATIONS))
+    carriers = _vertex_carriers(tri)
+    total = tri.total
+    if data.draw(st.booleans(), label="change a vertex carrier"):
+        vertex = data.draw(st.sampled_from(sorted(carriers)))
+        faces = sorted(tuple(sorted(tri.base.labels_of(f))) for f in tri.base.faces())
+        carriers[vertex] = data.draw(st.sampled_from(faces))
+    else:
+        facets = sorted(tuple(sorted(total.labels_of(f))) for f in total.facets)
+        dropped = data.draw(st.sampled_from(facets))
+        total = SimplicialComplex.from_facets([f for f in facets if f != dropped])
+        carriers = {(v,): carriers[(v,)] for v in total.vertex_labels}
+    candidate = Triangulation(tri.base, total, carriers, validate=False)
+    assert _rejects(Triangulation.validate, candidate) == _rejects(
+        _per_restriction_validate, candidate)
+
+
+# One hand-built triangulation per validate message; the base, the total
+# facets and the vertex carriers.
+_INVALID = {
+    "exactly one of base and total is void": (
+        simplex("a"), [], {}),
+    "only the empty face may have an empty carrier": (
+        simplex("a"), [("x", "y")], {"x": "a", "y": ""}),
+    "is not a face of the base": (
+        SimplicialComplex.from_facets([("a", "b"), ("b", "c")]), [("x", "y")],
+        {"x": "a", "y": "c"}),
+    "has a face of dimension above dim 1": (
+        simplex("ab"), [("x", "y", "z")], {"x": "a", "y": "b", "z": "ab"}),
+    # zw hangs off the triangle xyz: |zw| < |sigma(zw)| and no coface is
+    # carried to abc
+    "restriction to ['a', 'b', 'c'] is not pure: ['w', 'z'] is maximal": (
+        simplex("abc"), [("x", "y", "z"), ("z", "w")],
+        {"x": "a", "y": "b", "z": "c", "w": "abc"}),
+    # x is carried to the vertex a and has no coface at all, so only the
+    # sigma(m) + w rule sees that it is maximal in the restriction to ab;
+    # every Euler characteristic is that of a ball
+    "restriction to ['a', 'b'] is not pure: ['x'] is maximal": (
+        simplex("ab"), [("x",), ("y", "u"), ("u", "v"), ("v", "t"), ("t", "u")],
+        {"x": "a", "y": "b", "u": "ab", "v": "ab", "t": "ab"}),
+    "restriction to ['a'] has no face of full dimension": (
+        simplex("ab"), [("x", "y")], {"x": "ab", "y": "ab"}),
+    # a path from a to b plus a separate edge: pure, but two components
+    "restriction to ['a', 'b'] has reduced Euler characteristic 1, expected 0": (
+        simplex("ab"), [("x", "u"), ("u", "y"), ("v", "w")],
+        {"x": "a", "y": "b", "u": "ab", "v": "ab", "w": "ab"}),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_INVALID))
+def test_validate_message(message):
+    base, facets, carriers = _INVALID[message]
+    total = SimplicialComplex.from_facets(facets)
+    candidate = Triangulation(
+        base, total, {(v,): tuple(c) for v, c in carriers.items()}, validate=False)
+    with pytest.raises(InvalidTriangulationError) as info:
+        candidate.validate()
+    assert message in str(info.value)
+    assert _rejects(_per_restriction_validate, candidate)
