@@ -137,13 +137,14 @@ class SimplicialComplex:
     different routes agree whenever their faces agree.
     """
 
-    __slots__ = ("_table", "_facets", "_all_faces", "_by_dim", "_facet_labelsets",
-                 "_stars")
+    __slots__ = ("_table", "_facets", "_dim", "_all_faces", "_by_dim",
+                 "_facet_labelsets", "_stars")
 
     def __init__(self, table: LabelTable, facets: tuple[Face, ...]):
         # Internal constructor: `from_facets` is the validated entry point.
         self._table = table
         self._facets = facets
+        self._dim = max(map(len, facets)) - 1 if facets else None
         self._all_faces: frozenset[Face] | None = None
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
         self._facet_labelsets: frozenset[frozenset[str]] | None = None
@@ -207,9 +208,7 @@ class SimplicialComplex:
     @property
     def dim(self) -> int | None:
         """Dimension, or None for the void complex."""
-        if self.is_void:
-            return None
-        return max(len(f) for f in self._facets) - 1
+        return self._dim
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -285,13 +284,16 @@ class SimplicialComplex:
         return self._stars
 
     def link(self, face) -> "SimplicialComplex":
-        """The link of a face, built on ids from the cached star index.
+        """The link of a face, given as ids or as labels."""
+        return self._link_ids(self._face_arg(face))
+
+    def _link_ids(self, face: Face) -> "SimplicialComplex":
+        """The link of an id face of this complex, from the cached star index.
 
         Its facets are F minus the face for the facets F containing the face,
         distinct and maximal because the F are; its label table keeps this
-        complex's id order.
+        complex's id order.  The face is not validated again.
         """
-        face = self._face_arg(face)
         star = self._facets
         if face:
             stars = self._star_index()

@@ -40,6 +40,7 @@ from .complexes import (
 )
 from .errors import ConsistencyError, PreconditionError
 from .homology import (
+    _ridge_counts,
     boundary_subcomplex,
     has_interior_vertex_property,
     interior_faces,
@@ -172,17 +173,11 @@ def _light_ball_screen(c: SimplicialComplex) -> SimplicialComplex | None:
     """
     if not c.is_pure():
         return None
-    counts: dict[tuple[int, ...], int] = {}
-    for facet in c.facets:
-        for t in range(len(facet)):
-            ridge = facet[:t] + facet[t + 1:]
-            counts[ridge] = counts.get(ridge, 0) + 1
+    counts = _ridge_counts(c)
     if any(v > 2 for v in counts.values()):
         return None
     bd = boundary_subcomplex(c)
     if bd.is_void:
-        return None
-    if not (bd.is_empty and c.dim == 0) and bd.dim != c.dim - 1:
         return None
     if c.reduced_euler() != 0:
         return None

@@ -1,18 +1,25 @@
 """Reduced simplicial homology over exact fields, and what it classifies.
 
 Betti numbers are computed from ranks of boundary matrices.  The default
-field is the rationals; a prime p selects the field Z/p instead.  Ranks come
-from sparse column reduction: each boundary column is a {row: +-1} dict,
-reduced against pivots keyed by lowest row, fraction-free with gcd division
-over Q and with modular inverses over Z/p, so no floating point or rounding
-ever enters.
+field is the rationals; a prime p selects the field Z/p instead.  Over every
+field the augmentation has rank 1 and the edge map rank #vertices -
+#components, found by union-find.  Higher ranks come from sparse column
+reduction: each boundary column is a {row: +-1} dict, reduced against pivots
+keyed by lowest row, fraction-free with gcd division over Q and with modular
+inverses over Z/p, so no floating point or rounding ever enters.
+
+Spheres, balls and Cohen-Macaulay complexes are recognized by face links.
+On a pure complex a facet's link is the (-1)-sphere and a ridge in k facets
+has k points as its link, so facets and ridges are decided by ridge counts;
+only faces of codimension 2 or more have their links built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .complexes import Face, SimplicialComplex
 from .errors import PreconditionError
@@ -91,15 +98,37 @@ class HomologyProfile:
         return not any(self.betti)
 
 
+def _graph_rank(vertex_count: int, edges: Iterable[Face]) -> int:
+    """Rank of the edge-to-vertex boundary map over any field: #vertices -
+    #components, the number of edges that join two union-find classes."""
+    parent = list(range(vertex_count))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    rank = 0
+    for a, b in edges:
+        a, b = root(a), root(b)
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
 def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProfile:
     """Reduced homology ranks of the augmented chain complex."""
     field = _validate_field(field)
     if complex_.is_void:
         raise PreconditionError("homology of the void complex is undefined")
     by_dim = [complex_.faces_of_dim(d) for d in range(-1, complex_.dim + 1)]
-    # ranks[j] is the rank of the boundary map out of by_dim[j]
-    ranks = [0]
-    for rows, cols in zip(by_dim, by_dim[1:]):
+    # ranks[j] is the rank of the boundary map out of by_dim[j]; the
+    # augmentation has rank 1 and the edge map's comes from union-find, over
+    # every field, so only the maps out of triangles and up are eliminated
+    ranks = [0, 1, _graph_rank(len(complex_.table), complex_.faces_of_dim(1))
+             ][:len(by_dim)]
+    for rows, cols in zip(by_dim[2:], by_dim[3:]):
         index = {f: i for i, f in enumerate(rows)}
         ranks.append(_rank(
             ({index[f[:t] + f[t + 1:]]: -1 if t % 2 else 1 for t in range(len(f))}
@@ -110,33 +139,57 @@ def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProf
         len(faces) - ranks[j] - ranks[j + 1] for j, faces in enumerate(by_dim)))
 
 
-def _sphere_profile(dim: int) -> tuple[int, ...]:
-    out = [0] * (dim + 2)
-    out[-1] = 1
-    return tuple(out)
+def _sphere_like(b: tuple[int, ...]) -> bool:
+    """Whether reduced Betti numbers b_{-1}, ..., b_dim are a dim-sphere's."""
+    return b[-1] == 1 and not any(b[:-1])
+
+
+def _ridge_counts(complex_: SimplicialComplex) -> dict[Face, int]:
+    """How many facets contain each ridge (a facet minus one vertex)."""
+    counts: dict[Face, int] = {}
+    for facet in complex_.facets:
+        for t in range(len(facet)):
+            ridge = facet[:t] + facet[t + 1:]
+            counts[ridge] = counts.get(ridge, 0) + 1
+    return counts
+
+
+def _links_pass(complex_: SimplicialComplex, field: int | None, counts: dict[Face, int],
+                ridge_ok: Callable[[int], bool],
+                link_ok: Callable[[Face, tuple[int, ...]], bool]) -> bool:
+    """Whether a complex is pure, ridge_ok(k) holds for each ridge count k in
+    `counts`, and link_ok(face, reduced Betti numbers of its link) for each
+    face of codimension 2 or more; facets and ridges need no link built."""
+    field = _validate_field(field)
+    if not complex_.is_pure() or not all(ridge_ok(k) for k in counts.values()):
+        return False
+    for d in range(-1, complex_.dim - 1):
+        for face in complex_.faces_of_dim(d):
+            if not link_ok(face, betti(complex_._link_ids(face), field).betti):
+                return False
+    return True
 
 
 def is_homology_sphere(complex_: SimplicialComplex, field: int | None = None) -> bool:
-    """Every face link has the reduced homology of a sphere of its dimension."""
+    """Every face link has the reduced homology of a sphere of its dimension.
+
+    Such complexes are pure, so non-pure input is not a homology sphere.
+    """
     if complex_.is_void:
         raise PreconditionError("the void complex is not classifiable")
-    for face in sorted(complex_.faces(), key=lambda f: (len(f), f)):
-        lk = complex_.link(face)
-        if betti(lk, field).betti != _sphere_profile(lk.dim):
-            return False
-    return True
+    return _links_pass(complex_, field, _ridge_counts(complex_), lambda k: k == 2,
+                       lambda face, b: _sphere_like(b))
 
 
 def is_cohen_macaulay(complex_: SimplicialComplex, field: int | None = None) -> bool:
-    """Reisner's criterion: links have vanishing homology below top dimension."""
+    """Reisner's criterion: links have vanishing homology below top dimension.
+
+    Cohen-Macaulay complexes are pure, so non-pure input is not one.
+    """
     if complex_.is_void:
         raise PreconditionError("the void complex is not classifiable")
-    for face in sorted(complex_.faces(), key=lambda f: (len(f), f)):
-        lk = complex_.link(face)
-        profile = betti(lk, field)
-        if any(profile.b(i) for i in range(-1, lk.dim)):
-            return False
-    return True
+    return _links_pass(complex_, field, _ridge_counts(complex_), lambda k: True,
+                       lambda face, b: not any(b[:-1]))
 
 
 def is_cohen_macaulay_star(complex_: SimplicialComplex, field: int | None = None) -> bool:
@@ -168,14 +221,8 @@ def boundary_subcomplex(complex_: SimplicialComplex) -> SimplicialComplex:
     """
     if complex_.is_void or not complex_.is_pure() or complex_.dim < 0:
         raise PreconditionError("boundary extraction needs a pure complex of dim >= 0")
-    ridge_dim = complex_.dim - 1
-    counts: dict[Face, int] = {}
-    for facet in complex_.facets:
-        for t in range(len(facet)):
-            ridge = facet[:t] + facet[t + 1:]
-            counts[ridge] = counts.get(ridge, 0) + 1
-    boundary = [r for r in complex_.faces_of_dim(ridge_dim) if counts.get(r, 0) == 1]
-    return SimplicialComplex.from_facets([complex_.labels_of(r) for r in boundary])
+    ridges = [r for r, k in _ridge_counts(complex_).items() if k == 1]
+    return SimplicialComplex._on_ids(complex_.table, ridges)
 
 
 def is_homology_ball(
@@ -185,8 +232,9 @@ def is_homology_ball(
 
     Checks that the combinatorial boundary is a homology sphere of one lower
     dimension, and that every face link looks like a sphere exactly for
-    interior faces and is acyclic for boundary faces.  The empty complex is
-    the (-1)-ball by convention; its boundary is void.
+    interior faces and is acyclic for boundary faces; for a ridge, that is
+    lying in at most two facets.  The empty complex is the (-1)-ball by
+    convention; its boundary is void.
     """
     if complex_.is_void:
         raise PreconditionError("the void complex is not classifiable")
@@ -194,22 +242,16 @@ def is_homology_ball(
         return SimplicialComplex.from_facets([])
     if not complex_.is_pure():
         return None
-    bd = boundary_subcomplex(complex_)
-    if bd.is_void:
+    counts = _ridge_counts(complex_)
+    ridges = [r for r, k in counts.items() if k == 1]
+    bd = SimplicialComplex._on_ids(complex_.table, ridges)  # one dimension lower, or void
+    if bd.is_void or not is_homology_sphere(bd, field):
         return None
-    if bd.dim != complex_.dim - 1 and not (bd.is_empty and complex_.dim == 0):
-        return None
-    if not is_homology_sphere(bd, field):
-        return None
-    bd_faces = bd.face_labelsets()
-    for face in sorted(complex_.faces(), key=lambda f: (len(f), f)):
-        lk = complex_.link(face)
-        profile = betti(lk, field)
-        on_boundary = frozenset(complex_.labels_of(face)) in bd_faces
-        expected = (0,) * (lk.dim + 2) if on_boundary else _sphere_profile(lk.dim)
-        if profile.betti != expected:
-            return None
-    return bd
+    # the boundary's faces below its ridges, in this complex's ids
+    on_bd = {f for r in ridges for i in range(len(r)) for f in itertools.combinations(r, i)}
+    ok = _links_pass(complex_, field, counts, lambda k: k <= 2,
+                     lambda face, b: not any(b) if face in on_bd else _sphere_like(b))
+    return bd if ok else None
 
 
 def interior_faces(

@@ -31,7 +31,9 @@ from thetalab import (
     octahedron,
     path,
     simplex,
+    union,
 )
+from thetalab.harness import corpus, subdivision_kinds
 
 EMPTY = SimplicialComplex.from_facets([()])
 
@@ -161,7 +163,166 @@ def test_betti_rejects_huge_composite_field_exactly():
         betti(simplex("ab"), field=10**400)
 
 
+def _graph(edges, isolated=()):
+    return SimplicialComplex.from_facets(
+        [(f"v{a}", f"v{b}") for a, b in edges] + [(f"v{v}",) for v in isolated])
+
+
+GRAPHS = [
+    _graph([(0, 1), (1, 2), (2, 0)], isolated=[3, 4]),  # cycle and two points
+    _graph([(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)], isolated=[6]),
+    _graph([(a, b) for a, b in itertools.combinations(range(5), 2)]),  # K5
+    _graph([], isolated=[0, 1, 2]),
+]
+
+
+@pytest.mark.parametrize("idx", range(len(GRAPHS)))
+def test_betti_of_graphs_matches_oracle(idx):
+    c = GRAPHS[idx]
+    for p in (None, 2, 3):
+        assert betti(c, p).betti == _oracle_betti(c, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=14),
+       st.sets(st.integers(10, 12)))
+def test_betti_of_random_graphs_matches_oracle(pairs, isolated):
+    edges = [(a, b) for a, b in pairs if a != b]
+    c = _graph(edges, isolated)
+    if c.is_void:
+        return
+    for p in (None, 2, 3):
+        assert betti(c, p).betti == _oracle_betti(c, p)
+
+
 # ------------------------------------------------------ spheres and balls
+
+
+def _ref_sphere_profile(dim):
+    return (0,) * (dim + 1) + (1,)
+
+
+def _ref_is_sphere(c, p=None):
+    """Every face's link, by the oracle, has sphere homology of its dimension."""
+    for face in c.faces():
+        lk = c.link(face)
+        if _oracle_betti(lk, p) != _ref_sphere_profile(lk.dim):
+            return False
+    return True
+
+
+def _ref_is_cm(c, p=None):
+    """Every face's link, by the oracle, has no homology below its top."""
+    return all(not any(_oracle_betti(c.link(face), p)[:-1]) for face in c.faces())
+
+
+def _ref_ball_boundary(c, p=None):
+    """The boundary facet label sets of a ball by the per-face definition,
+    or None; the empty complex is the (-1)-ball with the void boundary."""
+    if c.is_empty:
+        return frozenset()
+    if not c.is_pure():
+        return None
+    ridges = [r for r in c.faces_of_dim(c.dim - 1)
+              if sum(set(r) <= set(f) for f in c.facets) == 1]
+    if not ridges:
+        return None
+    bd = SimplicialComplex.from_facets([c.labels_of(r) for r in ridges])
+    if not _ref_is_sphere(bd, p):
+        return None
+    on_bd = bd.face_labelsets()
+    for face in c.faces():
+        lk = c.link(face)
+        b = _oracle_betti(lk, p)
+        if frozenset(c.labels_of(face)) in on_bd:
+            if any(b):
+                return None
+        elif b != _ref_sphere_profile(lk.dim):
+            return None
+    return bd.facet_labelsets()
+
+
+def _assert_recognizers_match_reference(c, p=None):
+    bd = is_homology_ball(c, p)
+    assert (None if bd is None else bd.facet_labelsets()) == _ref_ball_boundary(c, p)
+    assert is_homology_sphere(c, p) == _ref_is_sphere(c, p)
+    assert is_cohen_macaulay(c, p) == _ref_is_cm(c, p)
+
+
+# corpus triangulations small enough for the dense oracle on every link
+SMALL_TRIANGULATIONS = sorted(
+    {t.total for _, base in corpus() for _, make in subdivision_kinds()
+     for t in [make(base)] if len(t.total.faces()) <= 120},
+    key=lambda c: (len(c.faces()), sorted(sorted(s) for s in c.facet_labelsets())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), min_size=1, max_size=8),
+       st.sampled_from([None, 2]))
+def test_recognizers_match_per_face_reference_on_random_complexes(facets, p):
+    c = SimplicialComplex.from_facets([sorted(f"v{i}" for i in f) for f in facets])
+    _assert_recognizers_match_reference(c, p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(SMALL_TRIANGULATIONS), st.sampled_from(["keep", "drop", "add"]),
+       st.integers(0, 10 ** 6), st.sampled_from([None, 2]))
+def test_recognizers_match_per_face_reference_on_perturbed_triangulations(c, how, pick, p):
+    facets = [c.labels_of(f) for f in c.facets]
+    if how == "drop" and len(facets) > 1:
+        del facets[pick % len(facets)]
+    elif how == "add" and c.dim >= 0:
+        ridges = sorted(c.faces_of_dim(c.dim - 1))
+        facets.append(c.labels_of(ridges[pick % len(ridges)]) + ("new",))
+    _assert_recognizers_match_reference(SimplicialComplex.from_facets(facets), p)
+
+
+def test_recognizers_on_small_hand_cases():
+    one_point, two_points = simplex("a"), SimplicialComplex.from_facets([("a",), ("b",)])
+    three_points = SimplicialComplex.from_facets([("a",), ("b",), ("c",)])
+    book = SimplicialComplex.from_facets([("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")])
+    assert is_homology_ball(EMPTY).is_void
+    assert is_homology_sphere(EMPTY) and is_cohen_macaulay(EMPTY)
+    assert is_homology_ball(one_point).is_empty
+    assert not is_homology_sphere(one_point) and is_cohen_macaulay(one_point)
+    assert is_homology_ball(two_points) is None
+    assert is_homology_sphere(two_points) and is_cohen_macaulay(two_points)
+    assert not is_homology_sphere(three_points) and is_cohen_macaulay(three_points)
+    # three triangles on one edge: the edge's link is three points
+    assert is_homology_ball(book) is None
+    assert not is_homology_sphere(book)
+    assert is_cohen_macaulay(book)
+    for c in (EMPTY, one_point, two_points, three_points, book):
+        _assert_recognizers_match_reference(c)
+
+
+def test_recognizers_reject_non_pure_input():
+    lollipop = SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d")])
+    assert is_homology_ball(lollipop) is None
+    assert not is_homology_sphere(lollipop)
+    assert not is_cohen_macaulay(lollipop)
+    with pytest.raises(PreconditionError):
+        is_homology_sphere(lollipop, 4)  # the field is checked first
+
+
+def test_recognizers_check_vertex_links_of_surfaces():
+    # RP^2 is acyclic over Q, so wedging it at a vertex keeps the rational
+    # homology of a sphere or a disc and every edge in at most two
+    # triangles; only the wedge vertex's link, two circles, is wrong
+    def wedge(c):
+        rename = {lab: "v1" if lab == "a" else "w" + lab for lab in c.vertex_labels}
+        return union(_projective_plane(), SimplicialComplex.from_facets(
+            [[rename[lab] for lab in c.labels_of(f)] for f in c.facets]))
+
+    sphere = wedge(boundary_simplex("abcd"))
+    assert betti(sphere).betti == (0, 0, 0, 1)
+    assert not is_homology_sphere(sphere)
+    assert not is_cohen_macaulay(sphere)
+    disc = wedge(cycle(4).cone("a"))  # the cone point becomes the wedge point
+    assert betti(disc).is_zero()
+    assert is_homology_ball(disc) is None
+    for c in (sphere, disc):
+        _assert_recognizers_match_reference(c)
 
 
 def test_sphere_recognition():
