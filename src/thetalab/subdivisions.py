@@ -14,6 +14,10 @@ characteristics of all restrictions from it, and local h of the whole
 triangulation or of any restriction is a sum over it (see invariants).
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
+They work on ids and masks: each new vertex gets its label and carrier mask
+once, the total complex is built on a label table validated once, and a
+private constructor takes the masks without re-checking carrier keys.  The
+public constructor and the file parser keep every check.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .complexes import (
     _ARROW,
     _COMMENT,
     _EMPTY_FACE_TOKEN,
+    LabelTable,
+    _maximal,
     _read_text_file,
     fresh_label,
     parse_facet_text,
@@ -63,6 +69,18 @@ class Triangulation:
     """A total complex refining a base complex, with face carriers."""
 
     __slots__ = ("_base", "_total", "_vmask", "_masks", "_hist")
+
+    @classmethod
+    def _on_masks(cls, base: SimplicialComplex, total: SimplicialComplex,
+                  vmask: Iterable[int], *, validate: bool = True) -> "Triangulation":
+        """The triangulation with these vertex-carrier masks, one per total
+        vertex id; masks and complexes are trusted, not checked again."""
+        tri = cls.__new__(cls)
+        tri._base, tri._total, tri._vmask = base, total, tuple(vmask)
+        tri._masks = tri._hist = None
+        if validate:
+            tri.validate()
+        return tri
 
     def __init__(
         self,
@@ -171,8 +189,8 @@ class Triangulation:
         the empty carrier), this checks that the restriction to every base
         face is pure of the right dimension and has the Euler characteristic
         of a ball, with vertices restricting to single points.  Dimensions
-        and purity are checked face by face; Euler characteristics, full
-        dimension and single points come from the carrier histogram.
+        and purity are checked face by face; Euler characteristics and full
+        dimension come from the carrier histogram.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
@@ -246,16 +264,13 @@ class Triangulation:
                     f"restriction to {_mask_labels(base, fmask)} has no face of"
                     " full dimension"
                 )
+            # a vertex's restriction has only points by the dimension check,
+            # so Euler characteristic 1 makes it a single point
             euler = sum(c if k % 2 else -c for k, c in enumerate(counts))
             if euler != 1:
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, fmask)} has reduced Euler"
                     f" characteristic {euler - 1}, expected 0"
-                )
-            if size == 1 and sum(counts) != 1:
-                raise InvalidTriangulationError(
-                    f"restriction to the vertex {_mask_labels(base, fmask)} must be"
-                    " a single point"
                 )
 
     def restriction(self, face) -> "Triangulation":
@@ -270,18 +285,13 @@ class Triangulation:
         outside = ~_mask(bface)
         kept = [v for v, m in enumerate(self._vmask) if not m & outside]
         inside = set(kept)
-        sub_total = SimplicialComplex.from_facets(
-            {tuple(filter(inside.__contains__, facet)) for facet in total.facets},
-            labels=total.table,
-        )
-        # both constructors keep the order of the kept ids when they renumber
+        sub_total = SimplicialComplex._on_ids(total.table, _maximal(
+            tuple(filter(inside.__contains__, facet)) for facet in total.facets))
+        # _on_ids keeps the order of the kept ids when it renumbers
         sub_base = SimplicialComplex._on_ids(base.table, [bface])
         to_sub = {b: i for i, b in enumerate(bface)}
-        carrier = {
-            (i,): tuple(to_sub[b] for b in _ids(self._vmask[v]))
-            for i, v in enumerate(kept)
-        }
-        return Triangulation(sub_base, sub_total, carrier, validate=False)
+        vmask = [_mask(to_sub[b] for b in _ids(self._vmask[v])) for v in kept]
+        return Triangulation._on_masks(sub_base, sub_total, vmask, validate=False)
 
     def __eq__(self, other) -> bool:
         # total equality fixes the vertex labels, and vertex carriers fix the
@@ -314,41 +324,46 @@ class Triangulation:
 
 def identity(complex_: SimplicialComplex) -> Triangulation:
     """The trivial triangulation: every face is its own carrier."""
-    carrier = {(v,): (v,) for v in complex_.vertices}
-    return Triangulation(complex_, complex_, carrier, validate=False)
+    vmask = [1 << v for v in complex_.vertices]
+    return Triangulation._on_masks(complex_, complex_, vmask, validate=False)
 
 
-def _register_label(mapping: dict[tuple[str], Face], label: str, value: Face) -> None:
-    key = (label,)
-    if key in mapping and mapping[key] != value:
-        raise PreconditionError(
-            f"base labels make the subdivision label {label!r} ambiguous"
-        )
-    mapping[key] = value
+def _subdivision(base: SimplicialComplex, node_facets: list, label, mask) -> Triangulation:
+    """The validated triangulation of base whose total has these facets of nodes.
+
+    label(node) and mask(node) give a new vertex's label and carrier mask; each
+    is called once per distinct node.  Vertex ids follow the sorted labels, as
+    from_facets would number them.
+    """
+    carriers: dict[str, int] = {}
+    names = {}
+    for node in dict.fromkeys(itertools.chain.from_iterable(node_facets)):
+        lab, m = label(node), mask(node)
+        if carriers.setdefault(lab, m) != m:
+            raise PreconditionError(
+                f"base labels make the subdivision label {lab!r} ambiguous"
+            )
+        names[node] = lab
+    table = LabelTable(sorted(carriers))
+    ids = {node: table.id(lab) for node, lab in names.items()}
+    total = SimplicialComplex._on_ids(table, _maximal(
+        tuple(sorted(map(ids.__getitem__, f))) for f in node_facets))
+    return Triangulation._on_masks(base, total, map(carriers.__getitem__, table))
 
 
 def barycentric(complex_: SimplicialComplex) -> Triangulation:
     """The barycentric subdivision: vertices are nonempty faces, faces are chains."""
     if complex_.is_void or complex_.is_empty:
         return identity(complex_)
-    vertex_carrier: dict[tuple[str], Face] = {}
-
-    def vlabel(idface: Face) -> str:
-        lab = "{" + ",".join(sorted(complex_.labels_of(idface))) + "}"
-        _register_label(vertex_carrier, lab, idface)
-        return lab
-
-    chains: list[tuple[str, ...]] = []
-    for facet in complex_.facets:
-        for perm in itertools.permutations(facet):
-            acc: list[int] = []
-            chain = []
-            for v in perm:
-                acc.append(v)
-                chain.append(vlabel(tuple(sorted(acc))))
-            chains.append(tuple(sorted(chain)))
-    total = SimplicialComplex.from_facets(chains)
-    return Triangulation(complex_, total, vertex_carrier)
+    # a chain is the masks of the growing prefixes of a facet's permutation
+    chains = [
+        tuple(itertools.accumulate((1 << v for v in perm), int.__or__))
+        for facet in complex_.facets
+        for perm in itertools.permutations(facet)
+    ]
+    return _subdivision(
+        complex_, chains,
+        lambda m: "{" + ",".join(_mask_labels(complex_, m)) + "}", lambda m: m)
 
 
 def _maximal_cliques(nodes: list, adjacency: dict) -> list[frozenset]:
@@ -379,14 +394,11 @@ def antiprism(complex_: SimplicialComplex) -> Triangulation:
     """
     if complex_.is_void or complex_.is_empty:
         return identity(complex_)
-    vertex_carrier: dict[tuple[str], Face] = {}
 
-    def node_label(fset: frozenset[int], point: int) -> str:
-        ids = tuple(sorted(fset))
-        labels = sorted(complex_.labels_of(ids))
-        lab = "({" + ",".join(labels) + "}," + complex_.table.label(point) + ")"
-        _register_label(vertex_carrier, lab, ids)
-        return lab
+    def node_label(node: tuple[frozenset[int], int]) -> str:
+        fset, point = node
+        return ("({" + ",".join(_mask_labels(complex_, _mask(fset))) + "},"
+                + complex_.table.label(point) + ")")
 
     def compatible(a: tuple[frozenset[int], int], b: tuple[frozenset[int], int]) -> bool:
         fa, va = a
@@ -399,7 +411,7 @@ def antiprism(complex_: SimplicialComplex) -> Triangulation:
             return va not in fb
         return False
 
-    facet_sets: set[frozenset[str]] = set()
+    cliques: list[frozenset] = []
     for facet in complex_.facets:
         nodes = [
             (frozenset(sub), v)
@@ -410,10 +422,8 @@ def antiprism(complex_: SimplicialComplex) -> Triangulation:
         adjacency = {
             n: {m for m in nodes if m != n and compatible(n, m)} for n in nodes
         }
-        for clique in _maximal_cliques(nodes, adjacency):
-            facet_sets.add(frozenset(node_label(f, v) for f, v in clique))
-    total = SimplicialComplex.from_facets([sorted(fs) for fs in facet_sets])
-    return Triangulation(complex_, total, vertex_carrier)
+        cliques.extend(_maximal_cliques(nodes, adjacency))
+    return _subdivision(complex_, cliques, node_label, lambda node: _mask(node[0]))
 
 
 def stellar(
@@ -427,21 +437,18 @@ def stellar(
         new_label = fresh_label(complex_)
     elif new_label in complex_.table:
         raise MalformedFaceError(f"label {new_label!r} already names a base vertex")
-    face_labels = set(complex_.labels_of(fids))
-    fset = set(fids)
-    facets: list[tuple[str, ...]] = []
+    # nodes are base vertex ids, and -1 for the new vertex
+    fset, fmask = set(fids), _mask(fids)
+    facets: list[Face] = []
     for facet in complex_.facets:
-        flabels = complex_.labels_of(facet)
         if fset <= set(facet):
-            for w in sorted(face_labels):
-                rest = [lab for lab in flabels if lab != w]
-                facets.append(tuple(sorted(rest + [new_label])))
+            facets.extend(tuple(v for v in facet if v != w) + (-1,) for w in fids)
         else:
-            facets.append(tuple(sorted(flabels)))
-    total = SimplicialComplex.from_facets(facets)
-    carrier = {(lab,): (lab,) for lab in total.vertex_labels if lab != new_label}
-    carrier[(new_label,)] = fids
-    return Triangulation(complex_, total, carrier)
+            facets.append(facet)
+    return _subdivision(
+        complex_, facets,
+        lambda v: new_label if v < 0 else complex_.table.label(v),
+        lambda v: fmask if v < 0 else 1 << v)
 
 
 def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
@@ -461,15 +468,11 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
     order = sorted(complex_.vertices, key=complex_.table.label)
     pos = {v: i for i, v in enumerate(order)}
     m = len(order)
-    vertex_carrier: dict[tuple[str], Face] = {}
 
     def node_label(u: tuple[int, ...]) -> str:
-        support = tuple(order[i] for i in range(m) if u[i])
-        lab = "+".join(
+        return "+".join(
             f"{complex_.table.label(order[i])}:{u[i]}" for i in range(m) if u[i]
         )
-        _register_label(vertex_carrier, lab, support)
-        return lab
 
     def iota(u: tuple[int, ...]) -> tuple[int, ...]:
         acc = 0
@@ -483,7 +486,7 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
         diff = [a - b for a, b in zip(iu, iw)]
         return all(d in (0, 1) for d in diff) or all(d in (0, -1) for d in diff)
 
-    facet_sets: set[frozenset[str]] = set()
+    cliques: list[frozenset] = []
     for facet in complex_.facets:
         slots = sorted(pos[v] for v in facet)
         nodes: list[tuple[int, ...]] = []
@@ -497,10 +500,9 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
             u: {w for w in nodes if w != u and compatible(iotas[u], iotas[w])}
             for u in nodes
         }
-        for clique in _maximal_cliques(nodes, adjacency):
-            facet_sets.add(frozenset(node_label(u) for u in clique))
-    total = SimplicialComplex.from_facets([sorted(fs) for fs in facet_sets])
-    return Triangulation(complex_, total, vertex_carrier)
+        cliques.extend(_maximal_cliques(nodes, adjacency))
+    return _subdivision(complex_, cliques, node_label,
+                        lambda u: _mask(order[i] for i in range(m) if u[i]))
 
 
 def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
@@ -515,10 +517,9 @@ def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
         )
     # outer's base ids and inner's total ids may order the labels differently
     to_inner = [inner.total.table.id(lab) for lab in outer.base.vertex_labels]
-    carrier = {}
-    for v, mask in enumerate(outer._vmask):
-        carrier[(v,)] = _ids(inner._carrier_mask([to_inner[b] for b in _ids(mask)]))
-    return Triangulation(inner.base, outer.total, carrier)
+    vmask = [inner._carrier_mask([to_inner[b] for b in _ids(mask)])
+             for mask in outer._vmask]
+    return Triangulation._on_masks(inner.base, outer.total, vmask)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,7 +5,9 @@ for barycentric, Fubini numbers for the antiprism, powers for edgewise),
 which pin the combinatorics down independently of the carrier bookkeeping.
 """
 
+import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +222,47 @@ def test_restriction_to_empty_face():
     sub = tri.restriction(())
     assert sub.total.is_empty
     assert sub.base.is_empty
+
+
+# ------------------------------------------------------ labels of new vertices
+
+
+def test_ambiguous_subdivision_labels():
+    # the barycentric vertex of the edge {a, b} prints as the vertex "a,b"
+    with pytest.raises(PreconditionError, match=re.escape("'{a,b}'")):
+        barycentric(SimplicialComplex.from_facets([("a", "b"), ("a,b",)]))
+    # the pointed faces ({x}, x) and ({q, z}, q) print alike
+    x, z = "q,r},q", "r},q},q,r"
+    with pytest.raises(PreconditionError, match=re.escape(f"'({{{x}}},{x})'")):
+        antiprism(SimplicialComplex.from_facets([("q", z), (x,)]))
+    # the weightings a + "b:1+c" and "a:1+b" + c print alike
+    with pytest.raises(PreconditionError, match=re.escape("'a:1+b:1+c:1'")):
+        edgewise(SimplicialComplex.from_facets([("a", "b:1+c"), ("a:1+b", "c")]), 2)
+
+
+# sha256 of the carrier maps of every corpus base under every suite kind
+_CORPUS_CARRIERS_SHA256 = (
+    "2fe99851f26d7895f50ba560f2e6fc68aae3561daf1c5cdb66eea920f334e6b8")
+
+
+def test_builders_number_vertices_by_sorted_label():
+    """Builders number new vertices as from_facets would from their labels,
+    and keep every carrier; this pins the id order the suites rely on."""
+    from thetalab import harness
+
+    digest = hashlib.sha256()
+    for bname, base in harness.corpus():
+        for kname, maker in harness.subdivision_kinds():
+            name, tri = f"{kname}({bname})", maker(base)
+            labels = tri.total.table.labels
+            assert list(labels) == sorted(labels), name
+            rebuilt = SimplicialComplex.from_facets(
+                tri.total.labels_of(f) for f in tri.total.facets)
+            assert rebuilt.table == tri.total.table, name
+            assert rebuilt.facets == tri.total.facets, name
+            carriers = sorted((sorted(k), sorted(v)) for k, v in tri.carrier_map.items())
+            digest.update(repr((name, carriers)).encode())
+    assert digest.hexdigest() == _CORPUS_CARRIERS_SHA256
 
 
 # ---------------------------------------------------------------- compose
