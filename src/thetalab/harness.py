@@ -11,17 +11,17 @@ to aggregate reports; consumers should treat them as opaque labels.
 Ball verification policy: complexes with at most FULL_CHECK_FACE_CAP faces
 get the full homological certification; larger ones get a combinatorial
 screen (purity, pseudomanifold ridges, Euler characteristics of the complex
-and its boundary).  Results are memoized by facet label sets, so threaded
-runs at worst duplicate work, never disagree.
+and its boundary).  Within one run_suite or scan_reports call, results are
+memoized by facet label sets; the memo lasts that one run, so no run sees
+another's facts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .complexes import (
@@ -75,6 +75,7 @@ from .polynomials import (
     symmetric_decomposition,
 )
 from .subdivisions import (
+    ThetaClass,
     Triangulation,
     antiprism,
     barycentric,
@@ -150,17 +151,32 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
 
 # ------------------------------------------------------------ memoized facts
 
-_Key = frozenset
-
-_BALL_MEMO: dict[_Key, SimplicialComplex | None] = {}
-_SPHERE_MEMO: dict[_Key, bool] = {}
-_THETA_MEMO: dict[_Key, IntPoly] = {}
-_SD_MEMO: dict[_Key, tuple[IntPoly, IntPoly | None]] = {}
-_FLAGS_MEMO: dict[tuple[_Key, str | None], "TriangulationFlags"] = {}
-_PROFILE_MEMO: dict[_Key, "BaseProfile"] = {}
+# The memo of one run_suite or scan_reports call, keyed by (what, key) where
+# key is built from facet label sets; None outside such a call, so a direct
+# call of the functions below computes afresh.
+_RUN_CACHE: dict | None = None
 
 
-def _key(c: SimplicialComplex) -> _Key:
+@contextlib.contextmanager
+def _run_cache():
+    global _RUN_CACHE
+    _RUN_CACHE = {}
+    try:
+        yield
+    finally:
+        _RUN_CACHE = None
+
+
+def _cached(what: str, key, compute: Callable):
+    if _RUN_CACHE is None:
+        return compute()
+    memo_key = (what, key)
+    if memo_key not in _RUN_CACHE:
+        _RUN_CACHE[memo_key] = compute()
+    return _RUN_CACHE[memo_key]
+
+
+def _key(c: SimplicialComplex) -> frozenset:
     return c.facet_labelsets()
 
 
@@ -187,60 +203,51 @@ def _light_ball_screen(c: SimplicialComplex) -> SimplicialComplex | None:
     return bd
 
 
+def _ball_check(c: SimplicialComplex) -> SimplicialComplex | None:
+    if c.is_empty:
+        return SimplicialComplex.from_facets([])
+    if len(c.faces()) <= FULL_CHECK_FACE_CAP:
+        return is_homology_ball(c)
+    return _light_ball_screen(c)
+
+
 def verified_boundary(c: SimplicialComplex) -> SimplicialComplex | None:
     """Boundary of c when c passes the ball check in force at its size."""
     if c.is_void:
         raise PreconditionError("the void complex is not classifiable")
-    key = _key(c)
-    if key in _BALL_MEMO:
-        return _BALL_MEMO[key]
-    if c.is_empty:
-        bd: SimplicialComplex | None = SimplicialComplex.from_facets([])
-    elif len(c.faces()) <= FULL_CHECK_FACE_CAP:
-        bd = is_homology_ball(c)
-    else:
-        bd = _light_ball_screen(c)
-    _BALL_MEMO[key] = bd
-    return bd
+    return _cached("ball", _key(c), lambda: _ball_check(c))
 
 
 def _verified_sphere(c: SimplicialComplex) -> bool:
-    key = _key(c)
-    if key not in _SPHERE_MEMO:
-        _SPHERE_MEMO[key] = is_homology_sphere(c)
-    return _SPHERE_MEMO[key]
+    return _cached("sphere", _key(c), lambda: is_homology_sphere(c))
 
 
 def theta_verified(c: SimplicialComplex) -> IntPoly:
     """theta of a verified ball, memoized; raises when c is not one."""
-    key = _key(c)
-    got = _THETA_MEMO.get(key)
-    if got is not None:
-        return got
-    if c.is_empty:
-        val = IntPoly.one()
-    else:
+
+    def compute() -> IntPoly:
+        if c.is_empty:
+            return IntPoly.one()
         bd = verified_boundary(c)
         if bd is None:
             raise PreconditionError("not a verified homology ball")
-        val = theta(c, bd)
-    _THETA_MEMO[key] = val
-    return val
+        return theta(c, bd)
+
+    return _cached("theta", _key(c), compute)
 
 
 def _sd_invariants(c: SimplicialComplex) -> tuple[IntPoly, IntPoly | None]:
     """(h, theta) of the barycentric subdivision of c; theta when c is a ball."""
-    key = _key(c)
-    got = _SD_MEMO.get(key)
-    if got is None:
+
+    def compute() -> tuple[IntPoly, IntPoly | None]:
         sd = barycentric(c)
         h = h_poly(sd.total)
         th: IntPoly | None = None
         if not c.is_void and verified_boundary(c) is not None:
             th = theta_verified(sd.total)
-        got = (h, th)
-        _SD_MEMO[key] = got
-    return got
+        return h, th
+
+    return _cached("sd", _key(c), compute)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -259,16 +266,14 @@ class BaseProfile:
 
 
 def base_profile(c: SimplicialComplex) -> BaseProfile:
-    key = _key(c)
-    got = _PROFILE_MEMO.get(key)
-    if got is None:
+    def compute() -> BaseProfile:
         bd = verified_boundary(c)
         sphere = _verified_sphere(c)
         cm = is_cohen_macaulay(c)
         cm_star = is_cohen_macaulay_star(c) if cm else False
-        got = BaseProfile(bd, sphere, cm, cm_star, c.is_flag())
-        _PROFILE_MEMO[key] = got
-    return got
+        return BaseProfile(bd, sphere, cm, cm_star, c.is_flag())
+
+    return _cached("profile", _key(c), compute)
 
 
 # -------------------------------------------------- corpus and triangulations
@@ -323,12 +328,15 @@ def subdivision_kinds() -> list[tuple[str, Callable[[SimplicialComplex], Triangu
     ]
 
 
-_UNIFORM_MAKERS: dict[str, Callable[[SimplicialComplex], Triangulation]] = {
-    "sd": barycentric,
-    "antiprism": antiprism,
-    "esd2": lambda c: edgewise(c, 2),
-    "esd3": lambda c: edgewise(c, 3),
-}
+def _kinds(*names: str) -> list[tuple[str, Callable[[SimplicialComplex], Triangulation]]]:
+    """The named entries of subdivision_kinds(), in the order given."""
+    makers = dict(subdivision_kinds())
+    return [(name, makers[name]) for name in names]
+
+
+_UNIFORM_MAKERS = dict(_kinds("sd", "antiprism", "esd2", "esd3"))
+# the inner triangulations of the twice-subdivided simplexes
+_INNER_KINDS = ("identity", "stellar", "esd2")
 
 
 def _theta_simplex(size: int) -> IntPoly:
@@ -391,35 +399,25 @@ class RestrictionEngine:
         return _local_h_at(self._tri, self._tri.base._face_arg(labels))
 
 
-@dataclasses.dataclass(frozen=True)
-class TriangulationFlags:
-    """Whether every restriction's theta is nonnegative / unimodal / gamma-positive."""
-
-    positive: bool
-    unimodal: bool
-    gamma_positive: bool
-
-
 def triangulation_theta_flags(
     tri: Triangulation, kind: str | None = None
-) -> TriangulationFlags:
-    memo_key = (_key(tri.base), _key(tri.total))
-    cached = _FLAGS_MEMO.get((memo_key, kind))
-    if cached is not None:
-        return cached
-    engine = RestrictionEngine(tri, kind)
-    positive = unimodal = gamma = True
-    for face in _sorted_faces(tri.base):
-        labels = tri.base.labels_of(face)
-        if not labels:
-            continue
-        t = engine.theta_of(tuple(sorted(labels)))
-        positive = positive and is_nonnegative(t)
-        unimodal = unimodal and is_nonnegative(t) and is_unimodal(t)
-        gamma = gamma and is_gamma_positive(t, len(labels))
-    flags = TriangulationFlags(positive, unimodal, gamma)
-    _FLAGS_MEMO[(memo_key, kind)] = flags
-    return flags
+) -> ThetaClass:
+    """The ThetaClass of tri, its restriction thetas from a RestrictionEngine."""
+
+    def compute() -> ThetaClass:
+        engine = RestrictionEngine(tri, kind)
+        positive = unimodal = gamma = True
+        for face in _sorted_faces(tri.base):
+            labels = tri.base.labels_of(face)
+            if not labels:
+                continue
+            t = engine.theta_of(tuple(sorted(labels)))
+            positive = positive and is_nonnegative(t)
+            unimodal = unimodal and is_nonnegative(t) and is_unimodal(t)
+            gamma = gamma and is_gamma_positive(t, len(labels))
+        return ThetaClass(positive, unimodal, gamma)
+
+    return _cached("flags", ((_key(tri.base), _key(tri.total)), kind), compute)
 
 
 def _sorted_faces(c: SimplicialComplex):
@@ -699,7 +697,7 @@ def verify_monotonicity_b(
 
 def _monotonicity_b_parts(
     ball: SimplicialComplex, tri: Triangulation, instance: str,
-    flags: TriangulationFlags,
+    flags: ThetaClass,
 ) -> list[VerificationReport]:
     n = ball.dim + 1
     lhs = theta_verified(tri.total)
@@ -1009,7 +1007,7 @@ class InstanceGenerator:
 
     Supported classes: ball, sphere, CM, flag-sphere, flag-ball.  Streams are
     reproducible: each instance is derived only from (seed, class, dimension,
-    index), so splitting work across threads cannot reorder or change them.
+    index), so the other instances asked for cannot change any of them.
     """
 
     seed: int
@@ -1122,36 +1120,27 @@ def _generated_balls(seed: int, max_dim: int, samples: int):
     return gen.instances(samples, dims=range(1, max_dim + 1))
 
 
-def _locality_tasks(seed: int, max_dim: int, samples: int) -> list[Callable]:
+def _locality_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
     bases = _bases(max_dim) + _generated_balls(seed, max_dim, max(1, samples // 2))
-
-    def make(inst, kname, tri):
-        return lambda: [verify_locality(tri, inst, kname)]
-
     return [
-        make(inst, kname, tri)
+        verify_locality(tri, inst, kname)
         for inst, kname, base, tri in _triangulations_of(bases)
     ]
 
 
-def _theta_tasks(seed: int, max_dim: int, samples: int) -> list[Callable]:
+def _theta_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
     bases = _bases(max_dim)
     generated = _generated_balls(seed, max_dim, samples)
-    tasks: list[Callable] = []
-
+    out: list[VerificationReport] = []
     for inst, kname, base, tri in _triangulations_of(bases):
-        tasks.append(lambda inst=inst, kname=kname, tri=tri:
-                     [verify_theta_formula(tri, inst, kname)])
-        tasks.append(lambda inst=inst, kname=kname, base=base, tri=tri:
-                     _h_corollary_reports(inst, kname, base, tri))
-
+        out.append(verify_theta_formula(tri, inst, kname))
+        out.extend(_h_corollary_reports(inst, kname, base, tri))
     for name, c in bases + generated:
-        tasks.append(lambda name=name, c=c: ball_basics_reports(name, c))
-
-    tasks.append(lambda: _pnk_structure_reports(max_n=8))
+        out.extend(ball_basics_reports(name, c))
+    out.extend(_pnk_structure_reports(max_n=8))
     for name, c in bases:
-        tasks.append(lambda name=name, c=c: _prop_2_3_reports(name, c))
-    return tasks
+        out.extend(_prop_2_3_reports(name, c))
+    return out
 
 
 def _h_corollary_reports(
@@ -1172,10 +1161,9 @@ def _h_corollary_reports(
             poly_geq(h_total, h_sd), kind="theorem",
         ))
     if profile.is_cm and flags.unimodal:
-        peaks = (n // 2,) if n % 2 == 0 else ((n - 1) // 2, (n + 1) // 2)
         out.append(VerificationReport(
-            "Cor3.8a", inst, h_total.text(), f"peak in {peaks}",
-            _peaked(h_total, n, peaks), kind="theorem",
+            "Cor3.8a", inst, h_total.text(), f"peak in {_peak_window(n)}",
+            _peaked(h_total, n), kind="theorem",
         ))
         out.append(VerificationReport(
             "Cor3.8a-diff", inst, diff.text(), "unimodal",
@@ -1208,10 +1196,9 @@ def _h_corollary_reports(
 
     if kname == "antiprism":
         if profile.is_cm:
-            peaks = (n // 2,) if n % 2 == 0 else ((n - 1) // 2, (n + 1) // 2)
             out.append(VerificationReport(
-                "Cor6.1a", inst, h_total.text(), f"peak in {peaks}",
-                is_nonnegative(h_total) and _peaked(h_total, n, peaks),
+                "Cor6.1a", inst, h_total.text(), f"peak in {_peak_window(n)}",
+                is_nonnegative(h_total) and _peaked(h_total, n),
                 kind="theorem",
             ))
         if profile.is_sphere:
@@ -1229,9 +1216,14 @@ def _h_corollary_reports(
     return out
 
 
-def _peaked(p: IntPoly, n: int, peaks: Sequence[int]) -> bool:
+def _peak_window(n: int) -> tuple[int, ...]:
+    """Middle index of the coefficients 0..n, or the two middle ones for odd n."""
+    return (n // 2,) if n % 2 == 0 else ((n - 1) // 2, (n + 1) // 2)
+
+
+def _peaked(p: IntPoly, n: int) -> bool:
     c = p.padded(n + 1)
-    for peak in peaks:
+    for peak in _peak_window(n):
         up = all(c[i] <= c[i + 1] for i in range(peak))
         down = all(c[i] >= c[i + 1] for i in range(peak, n))
         if up and down:
@@ -1318,8 +1310,7 @@ def _prop_2_3_reports(name: str, c: SimplicialComplex) -> list[VerificationRepor
             continue
         parts_ok = parts_ok and is_nonnegative(part) and is_unimodal(part)
         parts_ok = parts_ok and is_symmetric(part, center)
-    peaks = (n // 2,) if n % 2 == 0 else ((n - 1) // 2, (n + 1) // 2)
-    peak_ok = _peaked(h_sd, n, peaks)
+    peak_ok = _peaked(h_sd, n)
     return [VerificationReport(
         "Prop2.3", name,
         f"low={low.text()}; mid={mid.text()}; high={high.text()}",
@@ -1328,19 +1319,17 @@ def _prop_2_3_reports(name: str, c: SimplicialComplex) -> list[VerificationRepor
     )]
 
 
-def _kms_tasks(seed: int, max_dim: int, samples: int) -> list[Callable]:
+def _kms_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
     simplex_bases = [
         (n, c) for n, c in _bases(max_dim) if len(c.facets) == 1
     ]
-    tasks: list[Callable] = []
+    out: list[VerificationReport] = []
     for inst, kname, base, tri in _triangulations_of(simplex_bases):
-        tasks.append(lambda inst=inst, kname=kname, tri=tri:
-                     [verify_kms(tri, inst, kname)])
-        tasks.append(lambda inst=inst, kname=kname, base=base, tri=tri:
-                     _local_h_corollary_reports(inst, kname, base, tri))
-    tasks.append(lambda: _derangement_reports(max_n=6))
-    tasks.append(lambda: _iterated_local_h_reports(max_dim))
-    return tasks
+        out.append(verify_kms(tri, inst, kname))
+        out.extend(_local_h_corollary_reports(inst, kname, base, tri))
+    out.extend(_derangement_reports(max_n=6))
+    out.extend(_iterated_local_h_reports(max_dim))
+    return out
 
 
 def _local_h_corollary_reports(
@@ -1390,31 +1379,21 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
     antiprism of any simplex triangulation.
     """
     out = []
-    inner_kinds = [
-        ("identity", identity),
-        ("stellar", _stellar_first),
-        ("esd2", lambda c: edgewise(c, 2)),
-    ]
-    outer_kinds = [
-        ("sd", barycentric, "sd"),
-        ("antiprism", antiprism, "antiprism"),
-        ("esd2", lambda c: edgewise(c, 2), "esd2"),
-    ]
     for dim in range(1, max_dim + 1):
         base = simplex([f"v{i}" for i in range(dim + 1)])
         nverts = dim + 1
-        for iname, imaker in inner_kinds:
+        for iname, imaker in _kinds(*_INNER_KINDS):
             inner = imaker(base)
             sd_inner = compose(barycentric(inner.total), inner)
             ell_sd = local_h(sd_inner)
-            for oname, omaker, okind in outer_kinds:
-                if okind == "antiprism" and dim >= 3 and iname != "identity":
+            for oname, omaker in _kinds("sd", "antiprism", "esd2"):
+                if oname == "antiprism" and dim >= 3 and iname != "identity":
                     continue
                 outer = omaker(inner.total)
                 composed = compose(outer, inner)
                 inst = f"{oname}({iname}(simplex{dim}))"
                 ell = local_h(composed)
-                flags = triangulation_theta_flags(outer, okind)
+                flags = triangulation_theta_flags(outer, oname)
                 if flags.unimodal:
                     ok = is_nonnegative(ell) and is_unimodal(ell)
                     diff = ell - ell_sd
@@ -1430,7 +1409,7 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
                         "Cor4.4-gamma", inst, ell.text(), ell_sd.text(), ok,
                         kind="theorem",
                     ))
-                if okind == "antiprism":
+                if oname == "antiprism":
                     out.append(VerificationReport(
                         "Cor6.2", inst, ell.text(),
                         f"gamma-positive in window {nverts}",
@@ -1439,22 +1418,21 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
     return out
 
 
-def _monotone_tasks(seed: int, max_dim: int, samples: int) -> list[Callable]:
+def _monotone_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
     bases = _bases(max_dim) + _generated_balls(seed, max_dim, max(1, samples // 2))
     ball_bases = []
     for name, c in bases:
         if not c.is_void and not c.is_empty and verified_boundary(c) is not None:
             ball_bases.append((name, c))
 
-    tasks: list[Callable] = []
+    out: list[VerificationReport] = []
     for inst, kname, base, tri in _triangulations_of(ball_bases):
-        tasks.append(lambda inst=inst, kname=kname, base=base, tri=tri:
-                     _monotone_instance_reports(inst, kname, base, tri))
+        out.extend(_monotone_instance_reports(inst, kname, base, tri))
     for name, c in ball_bases:
-        tasks.append(lambda name=name, c=c: _rem43_reports(name, c))
-    tasks.append(_remark_4_7_reports)
-    tasks.append(lambda: _pair_reports(seed, max_dim, samples))
-    return tasks
+        out.extend(_rem43_reports(name, c))
+    out.extend(_remark_4_7_reports())
+    out.extend(_pair_reports(seed, max_dim, samples))
+    return out
 
 
 def _monotone_instance_reports(
@@ -1550,16 +1528,15 @@ def _pair_reports(seed: int, max_dim: int, samples: int) -> list[VerificationRep
     return out
 
 
-def _conjecture_tasks(seed: int, max_dim: int, samples: int) -> list[Callable]:
-    tasks: list[Callable] = []
-
+def _conjecture_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
+    out: list[VerificationReport] = []
     flag_balls = [("ball_5_4", example_5_4_ball())]
     flag_balls += InstanceGenerator(seed, "flag-ball", max_dim).instances(
         samples, dims=range(2, max_dim + 1))
     for name, c in flag_balls:
         if c.dim is not None and c.dim > max_dim:
             continue
-        tasks.append(lambda name=name, c=c: _conjecture_ball_reports(name, c))
+        out.extend(_conjecture_ball_reports(name, c))
 
     flag_spheres = [("octahedron", octahedron()),
                     ("cross4", cross_polytope_boundary(4)),
@@ -1569,11 +1546,10 @@ def _conjecture_tasks(seed: int, max_dim: int, samples: int) -> list[Callable]:
     for name, c in flag_spheres:
         if c.dim is not None and c.dim > max_dim:
             continue
-        tasks.append(lambda name=name, c=c: _sphere_link_reports(name, c))
-
-    tasks.append(lambda: _theta_zero_reports(seed, max_dim, samples))
-    tasks.append(lambda: _real_rootedness_reports(max_dim))
-    return tasks
+        out.extend(_sphere_link_reports(name, c))
+    out.extend(_theta_zero_reports(seed, max_dim, samples))
+    out.extend(_real_rootedness_reports(max_dim))
+    return out
 
 
 def _conjecture_ball_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
@@ -1619,14 +1595,9 @@ def _theta_zero_reports(seed: int, max_dim: int, samples: int) -> list[Verificat
 def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
     """Real-rootedness scan of local h under repeated subdivisions."""
     out = []
-    inner_kinds = [
-        ("identity", identity),
-        ("stellar", _stellar_first),
-        ("esd2", lambda c: edgewise(c, 2)),
-    ]
     for dim in range(1, max_dim + 1):
         base = simplex([f"v{i}" for i in range(dim + 1)])
-        for iname, imaker in inner_kinds:
+        for iname, imaker in _kinds(*_INNER_KINDS):
             inner = imaker(base)
             targets = [("sd", compose(barycentric(inner.total), inner))]
             if dim <= 2 or iname == "identity":
@@ -1652,68 +1623,35 @@ def scan_reports(
 ) -> list[VerificationReport]:
     """Evidence reports for one exploratory scan: theta-zero or real-rooted."""
     _check_max_dim(max_dim)
-    if kind == "theta-zero":
-        return _theta_zero_reports(seed, max_dim, samples)
-    if kind == "real-rooted":
-        return _real_rootedness_reports(max_dim)
+    with _run_cache():
+        if kind == "theta-zero":
+            return _theta_zero_reports(seed, max_dim, samples)
+        if kind == "real-rooted":
+            return _real_rootedness_reports(max_dim)
     raise PreconditionError(
         f"unknown scan kind {kind!r}; use theta-zero or real-rooted")
 
 
-# ------------------------------------------------------------------- execution
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        raw = os.environ.get("THETA_LAB_THREADS", "")
-        if raw:
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise PreconditionError(
-                    f"THETA_LAB_THREADS must be an integer, got {raw!r}"
-                ) from None
-        else:
-            threads = 1
-    if threads < 1:
-        raise PreconditionError("thread count must be at least 1")
-    return threads
-
-
-def _execute(tasks: list[Callable], threads: int) -> list[VerificationReport]:
-    if threads <= 1:
-        chunks = [task() for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    return [r for chunk in chunks for r in chunk]
-
-
 def run_suite(
-    suite: str = "all",
-    seed: int = 0,
-    max_dim: int = 3,
-    samples: int = 3,
-    threads: int | None = None,
+    suite: str = "all", seed: int = 0, max_dim: int = 3, samples: int = 3
 ) -> list[VerificationReport]:
     """Run one named suite (or all of them) and return its reports.
 
-    Reports come back in a deterministic order for fixed arguments,
-    independently of the thread count.
+    Reports come back in a deterministic order for fixed arguments.
     """
     if suite not in SUITES:
         raise PreconditionError(f"unknown suite {suite!r}; choose from {SUITES}")
     _check_max_dim(max_dim)
-    threads = _resolve_threads(threads)
-    tasks: list[Callable] = []
-    if suite in ("locality", "all"):
-        tasks += _locality_tasks(seed, max_dim, samples)
-    if suite in ("theta", "all"):
-        tasks += _theta_tasks(seed, max_dim, samples)
-    if suite in ("kms", "all"):
-        tasks += _kms_tasks(seed, max_dim, samples)
-    if suite in ("monotone", "all"):
-        tasks += _monotone_tasks(seed, max_dim, samples)
-    if suite in ("conjectures", "all"):
-        tasks += _conjecture_tasks(seed, max_dim, samples)
-    return _execute(tasks, threads)
+    out: list[VerificationReport] = []
+    with _run_cache():
+        if suite in ("locality", "all"):
+            out += _locality_reports(seed, max_dim, samples)
+        if suite in ("theta", "all"):
+            out += _theta_reports(seed, max_dim, samples)
+        if suite in ("kms", "all"):
+            out += _kms_reports(seed, max_dim, samples)
+        if suite in ("monotone", "all"):
+            out += _monotone_reports(seed, max_dim, samples)
+        if suite in ("conjectures", "all"):
+            out += _conjecture_reports(seed, max_dim, samples)
+    return out

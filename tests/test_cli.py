@@ -168,13 +168,6 @@ def test_verify_emits_jsonl_and_summary(tmp_path, capsys):
     assert "Thm2.1" in captured.err
 
 
-def test_verify_respects_thread_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("THETA_LAB_THREADS", "3")
-    assert main(["verify", "--suite", "locality", "--max-dim", "1"]) == 0
-    monkeypatch.setenv("THETA_LAB_THREADS", "zero")
-    assert main(["verify", "--suite", "locality", "--max-dim", "1"]) == 2
-
-
 # -------------------------------------------------------------------- scan
 
 

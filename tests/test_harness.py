@@ -5,6 +5,7 @@ import json
 import pytest
 
 from thetalab import (
+    ConsistencyError,
     IntPoly,
     PreconditionError,
     barycentric,
@@ -19,6 +20,7 @@ from thetalab import (
     simplex,
     theta,
 )
+from thetalab import harness
 from thetalab.harness import (
     InstanceGenerator,
     RestrictionEngine,
@@ -284,10 +286,28 @@ def test_run_suite_all_small():
         assert required in idents, required
 
 
-def test_run_suite_deterministic_across_threads():
-    one = run_suite("theta", seed=2, max_dim=2, samples=1, threads=1)
-    many = run_suite("theta", seed=2, max_dim=2, samples=1, threads=4)
-    assert one == many
+def test_run_suite_repeats_within_one_process():
+    first = run_suite("theta", seed=2, max_dim=2, samples=1)
+    assert first == run_suite("theta", seed=2, max_dim=2, samples=1)
+
+
+def test_run_cache_lives_only_inside_a_run(monkeypatch):
+    assert harness._RUN_CACHE is None
+    verified_boundary(simplex("abc"))
+    assert harness._RUN_CACHE is None
+    seen = []
+
+    def fail(seed, max_dim, samples):
+        seen.append(len(harness._RUN_CACHE))
+        raise ConsistencyError("stop partway")
+
+    monkeypatch.setattr(harness, "_kms_reports", fail)
+    with pytest.raises(ConsistencyError):
+        run_suite("all", seed=0, max_dim=1, samples=1)
+    assert seen and seen[0] > 0
+    assert harness._RUN_CACHE is None
+    assert run_suite("locality", seed=0, max_dim=1, samples=1)
+    assert harness._RUN_CACHE is None
 
 
 def test_run_suite_seed_reproducible():
@@ -300,14 +320,3 @@ def test_run_suite_validation():
         run_suite("everything")
     with pytest.raises(PreconditionError):
         run_suite("all", max_dim=0)
-    with pytest.raises(PreconditionError):
-        run_suite("locality", threads=0)
-
-
-def test_thread_env_parsing(monkeypatch):
-    monkeypatch.setenv("THETA_LAB_THREADS", "2")
-    reports = run_suite("locality", seed=0, max_dim=1, samples=1)
-    assert reports
-    monkeypatch.setenv("THETA_LAB_THREADS", "two")
-    with pytest.raises(PreconditionError):
-        run_suite("locality", seed=0, max_dim=1, samples=1)
