@@ -292,13 +292,14 @@ class SimplicialComplex:
 
         Its facets are F minus the face for the facets F containing the face,
         distinct and maximal because the F are; its label table keeps this
-        complex's id order.  The face is not validated again.
+        complex's id order.  The empty face's link is this complex itself,
+        with its cached faces.  The face is not validated again.
         """
-        star = self._facets
-        if face:
-            stars = self._star_index()
-            star = [f for f in stars[min(face, key=lambda v: len(stars[v]))]
-                    if all(v in f for v in face)]
+        if not face:
+            return self
+        stars = self._star_index()
+        star = [f for f in stars[min(face, key=lambda v: len(stars[v]))]
+                if all(v in f for v in face)]
         return SimplicialComplex._on_ids(
             self._table, [tuple(v for v in f if v not in face) for f in star])
 

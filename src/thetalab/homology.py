@@ -10,8 +10,12 @@ inverses over Z/p, so no floating point or rounding ever enters.
 
 Spheres, balls and Cohen-Macaulay complexes are recognized by face links.
 On a pure complex a facet's link is the (-1)-sphere and a ridge in k facets
-has k points as its link, so facets and ridges are decided by ridge counts;
-only faces of codimension 2 or more have their links built.
+has k points as its link, so facets and ridges are decided by ridge counts.
+The link of a codimension-2 face G is a graph, read off the facets through
+G: its V vertices are the ridges G+v, its E edges the facets G+{u,v}, and
+with c components (by union-find) its reduced Betti numbers are
+(0, c - 1, E - V + c).  Only faces of codimension 3 or more have their links
+built.
 """
 
 from __future__ import annotations
@@ -98,19 +102,16 @@ class HomologyProfile:
         return not any(self.betti)
 
 
-def _graph_rank(vertex_count: int, edges: Iterable[Face]) -> int:
+def _graph_rank(edges: Iterable[Face]) -> int:
     """Rank of the edge-to-vertex boundary map over any field: #vertices -
     #components, the number of edges that join two union-find classes."""
-    parent = list(range(vertex_count))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
-
+    parent: dict[int, int] = {}
     rank = 0
     for a, b in edges:
-        a, b = root(a), root(b)
+        while (up := parent.get(a, a)) != a:
+            parent[a] = a = parent.get(up, up)  # path halving
+        while (up := parent.get(b, b)) != b:
+            parent[b] = b = parent.get(up, up)
         if a != b:
             parent[a] = b
             rank += 1
@@ -126,8 +127,7 @@ def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProf
     # ranks[j] is the rank of the boundary map out of by_dim[j]; the
     # augmentation has rank 1 and the edge map's comes from union-find, over
     # every field, so only the maps out of triangles and up are eliminated
-    ranks = [0, 1, _graph_rank(len(complex_.table), complex_.faces_of_dim(1))
-             ][:len(by_dim)]
+    ranks = [0, 1, _graph_rank(complex_.faces_of_dim(1))][:len(by_dim)]
     for rows, cols in zip(by_dim[2:], by_dim[3:]):
         index = {f: i for i, f in enumerate(rows)}
         ranks.append(_rank(
@@ -159,11 +159,24 @@ def _links_pass(complex_: SimplicialComplex, field: int | None, counts: dict[Fac
                 link_ok: Callable[[Face, tuple[int, ...]], bool]) -> bool:
     """Whether a complex is pure, ridge_ok(k) holds for each ridge count k in
     `counts`, and link_ok(face, reduced Betti numbers of its link) for each
-    face of codimension 2 or more; facets and ridges need no link built."""
+    face of codimension 2 or more.  Facets and ridges need no link; the graph
+    link of a codimension-2 face comes from the facets through it, and only
+    faces of codimension 3 or more have their links built and passed to
+    betti."""
     field = _validate_field(field)
     if not complex_.is_pure() or not all(ridge_ok(k) for k in counts.values()):
         return False
-    for d in range(-1, complex_.dim - 1):
+    graphs: dict[Face, list[Face]] = {}
+    for facet in complex_.facets:
+        for i, j in itertools.combinations(range(len(facet)), 2):
+            face = facet[:i] + facet[i + 1:j] + facet[j + 1:]
+            graphs.setdefault(face, []).append((facet[i], facet[j]))
+    for face, edges in graphs.items():
+        vertices = len({v for edge in edges for v in edge})
+        components = vertices - _graph_rank(edges)
+        if not link_ok(face, (0, components - 1, len(edges) - vertices + components)):
+            return False
+    for d in range(-1, complex_.dim - 2):
         for face in complex_.faces_of_dim(d):
             if not link_ok(face, betti(complex_._link_ids(face), field).betti):
                 return False

@@ -8,6 +8,7 @@ from thetalab import (
     ConsistencyError,
     IntPoly,
     PreconditionError,
+    SimplicialComplex,
     barycentric,
     boundary_subcomplex,
     cycle,
@@ -115,6 +116,47 @@ def test_verified_boundary_and_theta_verified():
     assert theta_verified(example_5_2_ball()) == P((0, 1, 0, 1))
     with pytest.raises(PreconditionError):
         theta_verified(octahedron())
+
+
+def _disk_and_annulus():
+    """A triangle beside an annulus of 8 triangles between two 4-cycles: its
+    Euler characteristics are a disk's and a circle's, but it is no ball."""
+    annulus = []
+    for i in range(4):
+        j = (i + 1) % 4
+        annulus += [(f"a{i}", f"a{j}", f"b{i}"), (f"a{j}", f"b{i}", f"b{j}")]
+    return SimplicialComplex.from_facets([("x", "y", "z")] + annulus)
+
+
+def test_large_non_ball_is_not_verified():
+    c = barycentric(barycentric(_disk_and_annulus()).total).total
+    assert len(c.faces()) == 1018
+    assert c.reduced_euler() == 0 and boundary_subcomplex(c).reduced_euler() == -1
+    assert verified_boundary(c) is None
+    with pytest.raises(PreconditionError):
+        theta_verified(c)
+
+
+def test_ball_basics_certifies_each_complex_once(monkeypatch):
+    calls = []
+    certify = harness.is_homology_ball
+
+    def counted(c):
+        calls.append(c)
+        return certify(c)
+
+    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    harness.ball_basics_reports("x", example_5_2_ball())
+    assert len(calls) == 17
+    assert harness._RUN_CACHE is None
+    calls.clear()
+    with harness._run_cache():
+        harness.ball_basics_reports("x", example_5_2_ball())
+    assert len(calls) == 17
+    calls.clear()
+    ball = cycle(4).cone("c")
+    verify_monotonicity_a(ball, barycentric(ball))
+    assert calls.count(ball) == 1
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])

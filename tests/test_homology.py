@@ -34,6 +34,7 @@ from thetalab import (
     union,
 )
 from thetalab.harness import corpus, subdivision_kinds
+from thetalab.homology import _links_pass
 
 EMPTY = SimplicialComplex.from_facets([()])
 
@@ -249,11 +250,12 @@ def _assert_recognizers_match_reference(c, p=None):
     assert is_cohen_macaulay(c, p) == _ref_is_cm(c, p)
 
 
-# corpus triangulations small enough for the dense oracle on every link
-SMALL_TRIANGULATIONS = sorted(
+CORPUS_TRIANGULATIONS = sorted(
     {t.total for _, base in corpus() for _, make in subdivision_kinds()
-     for t in [make(base)] if len(t.total.faces()) <= 120},
+     for t in [make(base)]},
     key=lambda c: (len(c.faces()), sorted(sorted(s) for s in c.facet_labelsets())))
+# those small enough for the dense oracle on every link
+SMALL_TRIANGULATIONS = [c for c in CORPUS_TRIANGULATIONS if len(c.faces()) <= 120]
 
 
 @settings(max_examples=150, deadline=None)
@@ -323,6 +325,54 @@ def test_recognizers_check_vertex_links_of_surfaces():
     assert is_homology_ball(disc) is None
     for c in (sphere, disc):
         _assert_recognizers_match_reference(c)
+
+
+# ------------------------------------------------- graph links of codim-2
+
+
+def _assert_graph_links_match_betti(c):
+    """The links _links_pass reports for the faces of codimension 2, read
+    off the facets as graphs, have the Betti numbers `betti` gives them."""
+    for p in (None, 2):
+        seen = {}
+        assert _links_pass(c, p, {}, lambda k: True,
+                           lambda face, b: seen.setdefault(face, b) is not None)
+        codim2 = c.faces_of_dim(c.dim - 2) if c.dim >= 1 else ()
+        assert set(codim2) <= set(seen)
+        for face in codim2:
+            assert seen[face] == betti(c._link_ids(face), p).betti, (face, p)
+
+
+def test_graph_links_match_betti_on_corpus_triangulations():
+    for c in CORPUS_TRIANGULATIONS:
+        _assert_graph_links_match_betti(c)
+
+
+def test_graph_links_match_betti_on_non_manifolds():
+    cases = [
+        # three triangles on one edge
+        [("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e")],
+        # two triangles on one vertex: its link is two disjoint edges
+        [("a", "b", "c"), ("a", "d", "e")],
+        # two tetrahedra on one edge, and three on one vertex
+        [("a", "b", "c", "d"), ("a", "b", "e", "f")],
+        [("a", "b", "c", "d"), ("a", "e", "f", "g"), ("a", "h", "i", "j")],
+        # graphs: the empty face's link is the whole complex
+        [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c")],
+    ]
+    for facets in cases:
+        _assert_graph_links_match_betti(SimplicialComplex.from_facets(facets))
+    for c in (octahedron(), _projective_plane(), example_5_4_ball()):
+        _assert_graph_links_match_betti(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.lists(
+    st.frozensets(st.integers(0, 7), min_size=k, max_size=k), min_size=1, max_size=10)))
+def test_graph_links_match_betti_on_random_pure_complexes(facets):
+    c = SimplicialComplex.from_facets([sorted(f"v{i}" for i in f) for f in facets])
+    assert c.is_pure()
+    _assert_graph_links_match_betti(c)
 
 
 def test_sphere_recognition():
