@@ -9,9 +9,14 @@ Identity ids such as "Thm2.1" or "Eq3.4" are stable wire-format strings used
 to aggregate reports; consumers should treat them as opaque labels.
 
 Every ball hypothesis is certified by is_homology_ball, whatever the size.
-Within one run_suite, scan_reports or ball_basics_reports call, results are
-memoized by facet label sets; the memo lasts that one call, so no run sees
-another's facts.
+The run memo is the only cache: within one run_suite or scan_reports call,
+or one direct call of a check that opens it, results are memoized by facet
+label sets, and the memo lasts that one call, so no run sees another's facts.
+Local h of a restriction is read off the carrier histogram.  The theta of a
+restriction of the uniform subdivisions (sd, antiprism, edgewise) depends
+only on its size, so it is checked against a fresh build once per
+triangulation and size; theta_class builds and certifies every restriction
+and is the reference route.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from .complexes import (
+    Face,
     SimplicialComplex,
     boundary_simplex,
     cross_polytope_boundary,
@@ -74,6 +80,7 @@ from .polynomials import (
 from .subdivisions import (
     ThetaClass,
     Triangulation,
+    _theta_class_of,
     antiprism,
     barycentric,
     compose,
@@ -316,83 +323,44 @@ _UNIFORM_MAKERS = dict(_kinds("sd", "antiprism", "esd2", "esd3"))
 _INNER_KINDS = ("identity", "stellar", "esd2")
 
 
-def _theta_simplex(size: int) -> IntPoly:
-    if size == 0:
-        return IntPoly.one()
-    if size == 1:
-        return IntPoly.zero()
-    return IntPoly([0] + [-1] * (size - 1))
+def _restriction_theta(tri: Triangulation, face: Face, kind: str | None) -> IntPoly:
+    """theta of the restriction of tri to a base face (ids), certified a ball.
 
-
-class RestrictionEngine:
-    """theta and local h of the restrictions of one triangulation.
-
-    Local h of a restriction is read from the parent's carrier histogram
-    (see invariants): for a base face E, the sum over faces F carried inside
-    E of (-1)^(|E|-|sigma(F)|) x^(|E|-|sigma(F)|+|F|) (1-x)^(|sigma(F)|-|F|),
-    so no restriction is built; it assumes a validated triangulation.
-
-    theta needs each restriction certified as a ball, so it is computed on
-    the restriction.  The uniform subdivisions (sd, antiprism, edgewise)
-    restrict to the same subdivision of the carrier simplex, so their theta
-    depends only on the carrier size; this is asserted against a freshly
-    built copy once per size, then reused.  Restrictions equal to the
-    carrier simplex itself have the simplex theta.
+    The uniform subdivisions (sd, antiprism, edgewise) restrict to the same
+    subdivision of the carrier simplex, so their theta depends only on the
+    carrier size: once per triangulation and size in a run, the restriction
+    is checked against a freshly built copy and the copy's theta is kept.
     """
+    maker = _UNIFORM_MAKERS.get(kind)
+    if maker is None:
+        return theta_verified(tri.restriction(face).total)
 
-    def __init__(self, tri: Triangulation, kind: str | None = None):
-        self._tri = tri
-        self._maker = _UNIFORM_MAKERS.get(kind) if kind else None
-        self._by_size: dict[int, IntPoly] = {}
+    def compute() -> IntPoly:
+        labels = sorted(tri.base.labels_of(face))
+        fresh = maker(simplex(labels))
+        if tri.restriction(face) != fresh:
+            raise ConsistencyError(
+                f"restriction to {labels} differs from the fresh"
+                " subdivision of its carrier simplex"
+            )
+        return theta_verified(fresh.total)
 
-    def _uniform(self, labels: tuple[str, ...]) -> IntPoly | None:
-        if self._maker is None:
-            return None
-        size = len(labels)
-        got = self._by_size.get(size)
-        if got is None:
-            fresh = self._maker(simplex(sorted(labels)))
-            if self._tri.restriction(labels) != fresh:
-                raise ConsistencyError(
-                    f"restriction to {sorted(labels)} differs from the fresh"
-                    " subdivision of its carrier simplex"
-                )
-            got = theta_verified(fresh.total)
-            self._by_size[size] = got
-        return got
-
-    def theta_of(self, labels: tuple[str, ...]) -> IntPoly:
-        if not labels:
-            return IntPoly.one()
-        uniform = self._uniform(labels)
-        if uniform is not None:
-            return uniform
-        sub = self._tri.restriction(labels)
-        if sub.total == sub.base:
-            return _theta_simplex(len(labels))
-        return theta_verified(sub.total)
-
-    def local_h_of(self, labels: tuple[str, ...]) -> IntPoly:
-        return _local_h_at(self._tri, self._tri.base._face_arg(labels))
+    return _cached("uniform", (kind, _key(tri.total), len(face)), compute)
 
 
+@_run_cache()
 def triangulation_theta_flags(
     tri: Triangulation, kind: str | None = None
 ) -> ThetaClass:
-    """The ThetaClass of tri, its restriction thetas from a RestrictionEngine."""
+    """The ThetaClass of tri, its restriction thetas from _restriction_theta.
+
+    theta_class computes the same class with no shortcut, as the reference.
+    """
 
     def compute() -> ThetaClass:
-        engine = RestrictionEngine(tri, kind)
-        positive = unimodal = gamma = True
-        for face in _sorted_faces(tri.base):
-            labels = tri.base.labels_of(face)
-            if not labels:
-                continue
-            t = engine.theta_of(tuple(sorted(labels)))
-            positive = positive and is_nonnegative(t)
-            unimodal = unimodal and is_nonnegative(t) and is_unimodal(t)
-            gamma = gamma and is_gamma_positive(t, len(labels))
-        return ThetaClass(positive, unimodal, gamma)
+        faces = [f for f in _sorted_faces(tri.base) if f]
+        return _theta_class_of(
+            (_restriction_theta(tri, f, kind), len(f)) for f in faces)
 
     return _cached("flags", ((_key(tri.base), _key(tri.total)), kind), compute)
 
@@ -404,24 +372,21 @@ def _sorted_faces(c: SimplicialComplex):
 # ----------------------------------------------------------- identity checks
 
 
-def verify_locality(
-    tri: Triangulation, instance: str = "", kind: str | None = None
-) -> VerificationReport:
+def verify_locality(tri: Triangulation, instance: str = "") -> VerificationReport:
     """h of the total complex as the local-h weighted sum over base links."""
     base = tri.base
     if not base.is_pure():
         raise PreconditionError("the locality identity needs a pure base")
-    engine = RestrictionEngine(tri, kind)
     lhs = h_poly(tri.total)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
-        labels = tuple(sorted(base.labels_of(face)))
-        rhs = rhs + engine.local_h_of(labels) * h_poly(base.link(labels))
+        rhs = rhs + _local_h_at(tri, face) * h_poly(base._link_ids(face))
     return VerificationReport(
         "Thm2.1", instance, lhs.text(), rhs.text(), lhs == rhs
     )
 
 
+@_run_cache()
 def verify_theta_formula(
     tri: Triangulation, instance: str = "", kind: str | None = None
 ) -> VerificationReport:
@@ -429,18 +394,17 @@ def verify_theta_formula(
     base = tri.base
     if not base.is_pure():
         raise PreconditionError("the theta formula needs a pure base")
-    engine = RestrictionEngine(tri, kind)
     lhs = h_poly(tri.total)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
-        labels = tuple(sorted(base.labels_of(face)))
-        h_sd_link, _ = _sd_invariants(base.link(labels))
-        rhs = rhs + engine.theta_of(labels) * h_sd_link
+        h_sd_link, _ = _sd_invariants(base._link_ids(face))
+        rhs = rhs + _restriction_theta(tri, face, kind) * h_sd_link
     return VerificationReport(
         "Eq3.3", instance, lhs.text(), rhs.text(), lhs == rhs
     )
 
 
+@_run_cache()
 def verify_kms(
     tri: Triangulation, instance: str = "", kind: str | None = None
 ) -> VerificationReport:
@@ -448,13 +412,12 @@ def verify_kms(
     base = tri.base
     if not base.is_empty and len(base.facets) != 1:
         raise PreconditionError("the convolution needs a triangulated simplex")
-    engine = RestrictionEngine(tri, kind)
     nverts = len(base.vertices)
     lhs = local_h(tri)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
-        labels = tuple(sorted(base.labels_of(face)))
-        rhs = rhs + engine.theta_of(labels) * derangement_poly(nverts - len(labels))
+        d = derangement_poly(nverts - len(face))
+        rhs = rhs + _restriction_theta(tri, face, kind) * d
     return VerificationReport(
         "Eq3.4", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -569,11 +532,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
 
     induced = is_induced_subcomplex(bd, c)
     if induced:
-        out.append(VerificationReport(
-            "Thm5.1", name, th.text(), "unimodal",
-            is_unimodal(th) and is_nonnegative(th), kind="theorem",
-            detail="induced boundary",
-        ))
+        out.append(_unimodal_report("Thm5.1", name, th, "induced boundary"))
         half = all(hs[i] <= hs[i + 1] for i in range((n - 1) // 2))
         out.append(VerificationReport(
             "Eq5.4", name, str(tuple(hs[: (n - 1) // 2 + 1])), "nondecreasing",
@@ -591,8 +550,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
 
 
 def verify_monotonicity_a(
-    ball: SimplicialComplex, tri: Triangulation, instance: str = "",
-    kind: str | None = None,
+    ball: SimplicialComplex, tri: Triangulation, instance: str = ""
 ) -> VerificationReport:
     """theta grows under triangulation of a ball with interior vertices."""
     bd = verified_boundary(ball)
@@ -619,7 +577,6 @@ def _monotone_proof_identities(
     local h and links, one through restriction thetas and subdivided links.
     """
     bd = verified_boundary(ball)
-    engine = RestrictionEngine(tri, kind)
     interior = interior_faces(ball, bd)
     lhs = theta_verified(tri.total)
 
@@ -627,16 +584,16 @@ def _monotone_proof_identities(
     via_theta = _sd_invariants(ball)[1]
     assert via_theta is not None
     for face in _sorted_faces(ball):
-        labels = tuple(sorted(ball.labels_of(face)))
-        link = ball.link(labels)
+        link = ball._link_ids(face)
         if face in interior:
-            via_local = via_local + engine.local_h_of(labels) * h_poly(link)
-            via_theta = via_theta + engine.theta_of(labels) * _sd_invariants(link)[0]
-        elif labels:
-            via_local = via_local + engine.local_h_of(labels) * theta_verified(link)
+            via_local = via_local + _local_h_at(tri, face) * h_poly(link)
+            via_theta = via_theta + (
+                _restriction_theta(tri, face, kind) * _sd_invariants(link)[0])
+        elif face:
+            via_local = via_local + _local_h_at(tri, face) * theta_verified(link)
             sd_link_theta = _sd_invariants(link)[1]
             assert sd_link_theta is not None
-            via_theta = via_theta + engine.theta_of(labels) * sd_link_theta
+            via_theta = via_theta + _restriction_theta(tri, face, kind) * sd_link_theta
     return [
         VerificationReport(
             "Thm4.1proof", instance, lhs.text(), via_local.text(),
@@ -651,6 +608,7 @@ def _monotone_proof_identities(
     ]
 
 
+@_run_cache()
 def verify_monotonicity_b(
     ball: SimplicialComplex, tri: Triangulation, instance: str = "",
     kind: str | None = None,
@@ -684,8 +642,7 @@ def _monotonicity_b_parts(
     diff = lhs - sd_theta
     out = []
     if flags.unimodal:
-        ok = (is_nonnegative(lhs) and is_unimodal(lhs)
-              and is_nonnegative(diff) and is_unimodal(diff))
+        ok = _nonneg_unimodal(lhs) and _nonneg_unimodal(diff)
         out.append(VerificationReport(
             "Thm4.2a", instance, lhs.text(), diff.text(), ok, kind="theorem",
             detail="nonnegative and unimodal theta and difference",
@@ -787,12 +744,8 @@ def check_conjecture_5_3(
             "Conj5.3", instance, "", "", True, kind="conjecture",
             applicable=False, detail=detail,
         )
-    th = _ball_theta(c, bd)
-    n = c.dim + 1
-    return VerificationReport(
-        "Conj5.3", instance, th.text(), f"gamma-positive in window {n}",
-        is_gamma_positive(th, n), kind="conjecture",
-    )
+    return _gamma_report(
+        "Conj5.3", instance, _ball_theta(c, bd), c.dim + 1, kind="conjecture")
 
 
 def _gamma_poly(c: SimplicialComplex) -> IntPoly:
@@ -1101,7 +1054,7 @@ def _generated_balls(seed: int, max_dim: int, samples: int):
 def _locality_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
     bases = _bases(max_dim) + _generated_balls(seed, max_dim, max(1, samples // 2))
     return [
-        verify_locality(tri, inst, kname)
+        verify_locality(tri, inst)
         for inst, kname, base, tri in _triangulations_of(bases)
     ]
 
@@ -1143,28 +1096,13 @@ def _h_corollary_reports(
             "Cor3.8a", inst, h_total.text(), f"peak in {_peak_window(n)}",
             _peaked(h_total, n), kind="theorem",
         ))
-        out.append(VerificationReport(
-            "Cor3.8a-diff", inst, diff.text(), "unimodal",
-            is_nonnegative(diff) and is_unimodal(diff), kind="theorem",
-        ))
+        out.append(_unimodal_report("Cor3.8a-diff", inst, diff))
     if profile.is_sphere:
         if flags.unimodal:
-            out.append(VerificationReport(
-                "Cor3.9a", inst, h_total.text(), "unimodal",
-                is_nonnegative(h_total) and is_unimodal(h_total),
-                kind="theorem",
-            ))
+            out.append(_unimodal_report("Cor3.9a", inst, h_total))
         if flags.gamma_positive:
-            out.append(VerificationReport(
-                "Cor3.9a-gamma", inst, h_total.text(),
-                f"gamma-positive in window {n}",
-                is_gamma_positive(h_total, n), kind="theorem",
-            ))
-            out.append(VerificationReport(
-                "Cor3.9a-gamma-diff", inst, diff.text(),
-                f"gamma-positive in window {n}",
-                is_gamma_positive(diff, n), kind="theorem",
-            ))
+            out.append(_gamma_report("Cor3.9a-gamma", inst, h_total, n))
+            out.append(_gamma_report("Cor3.9a-gamma-diff", inst, diff, n))
     if profile.is_cm_star and flags.unimodal:
         out.append(_decomposition_report(
             "Cor3.9b", inst, h_total, n, gamma=flags.gamma_positive))
@@ -1180,11 +1118,7 @@ def _h_corollary_reports(
                 kind="theorem",
             ))
         if profile.is_sphere:
-            out.append(VerificationReport(
-                "Cor6.1b", inst, h_total.text(),
-                f"gamma-positive in window {n}",
-                is_gamma_positive(h_total, n), kind="theorem",
-            ))
+            out.append(_gamma_report("Cor6.1b", inst, h_total, n))
         if profile.is_cm_star:
             out.append(_decomposition_report(
                 "Cor6.1c", inst, h_total, n, gamma=True))
@@ -1192,6 +1126,28 @@ def _h_corollary_reports(
             out.append(_decomposition_report(
                 "Cor6.1d", inst, h_total, n - 1, gamma=True))
     return out
+
+
+def _nonneg_unimodal(p: IntPoly) -> bool:
+    return is_nonnegative(p) and is_unimodal(p)
+
+
+def _unimodal_report(
+    ident: str, inst: str, p: IntPoly, detail: str = ""
+) -> VerificationReport:
+    return VerificationReport(
+        ident, inst, p.text(), "unimodal", _nonneg_unimodal(p),
+        kind="theorem", detail=detail,
+    )
+
+
+def _gamma_report(
+    ident: str, inst: str, p: IntPoly, n: int, kind: str = "theorem"
+) -> VerificationReport:
+    return VerificationReport(
+        ident, inst, p.text(), f"gamma-positive in window {n}",
+        is_gamma_positive(p, n), kind=kind,
+    )
 
 
 def _peak_window(n: int) -> tuple[int, ...]:
@@ -1218,8 +1174,7 @@ def _decomposition_report(
         return VerificationReport(
             ident, inst, p.text(), "", False, kind="theorem", detail=str(exc)
         )
-    ok = (is_nonnegative(dec.a) and is_unimodal(dec.a)
-          and is_nonnegative(dec.b) and is_unimodal(dec.b))
+    ok = _nonneg_unimodal(dec.a) and _nonneg_unimodal(dec.b)
     if gamma:
         ok = ok and (dec.a.is_zero() or is_gamma_positive(dec.a, window))
         ok = ok and (dec.b.is_zero() or is_gamma_positive(dec.b, window - 1))
@@ -1286,7 +1241,7 @@ def _prop_2_3_reports(name: str, c: SimplicialComplex) -> list[VerificationRepor
     for part, center in ((low, n - 1), (mid, n), (high, n + 1)):
         if part.is_zero():
             continue
-        parts_ok = parts_ok and is_nonnegative(part) and is_unimodal(part)
+        parts_ok = parts_ok and _nonneg_unimodal(part)
         parts_ok = parts_ok and is_symmetric(part, center)
     peak_ok = _peaked(h_sd, n)
     return [VerificationReport(
@@ -1324,29 +1279,15 @@ def _local_h_corollary_reports(
             kind="theorem",
         ))
     if flags.unimodal:
-        out.append(VerificationReport(
-            "Cor3.8b", inst, ell.text(), "unimodal",
-            is_nonnegative(ell) and is_unimodal(ell), kind="theorem",
-        ))
+        out.append(_unimodal_report("Cor3.8b", inst, ell))
     if flags.gamma_positive:
-        out.append(VerificationReport(
-            "Cor3.8b-gamma", inst, ell.text(),
-            f"gamma-positive in window {nverts}",
-            is_gamma_positive(ell, nverts), kind="theorem",
-        ))
+        out.append(_gamma_report("Cor3.8b-gamma", inst, ell, nverts))
     return out
 
 
 def _derangement_reports(max_n: int) -> list[VerificationReport]:
-    out = []
-    for n in range(max_n + 1):
-        d = derangement_poly(n)
-        out.append(VerificationReport(
-            "d_n-gamma", f"d_{n}", d.text(),
-            f"gamma-positive in window {n}", is_gamma_positive(d, n),
-            kind="theorem",
-        ))
-    return out
+    return [_gamma_report("d_n-gamma", f"d_{n}", derangement_poly(n), n)
+            for n in range(max_n + 1)]
 
 
 def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
@@ -1373,9 +1314,7 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
                 ell = local_h(composed)
                 flags = triangulation_theta_flags(outer, oname)
                 if flags.unimodal:
-                    ok = is_nonnegative(ell) and is_unimodal(ell)
-                    diff = ell - ell_sd
-                    ok = ok and is_nonnegative(diff) and is_unimodal(diff)
+                    ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
                     out.append(VerificationReport(
                         "Cor4.4", inst, ell.text(), ell_sd.text(), ok,
                         kind="theorem", detail="unimodal, dominates sd",
@@ -1388,11 +1327,7 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
                         kind="theorem",
                     ))
                 if oname == "antiprism":
-                    out.append(VerificationReport(
-                        "Cor6.2", inst, ell.text(),
-                        f"gamma-positive in window {nverts}",
-                        is_gamma_positive(ell, nverts), kind="theorem",
-                    ))
+                    out.append(_gamma_report("Cor6.2", inst, ell, nverts))
     return out
 
 
@@ -1418,7 +1353,7 @@ def _monotone_instance_reports(
 ) -> list[VerificationReport]:
     out = []
     try:
-        out.append(verify_monotonicity_a(base, tri, inst, kname))
+        out.append(verify_monotonicity_a(base, tri, inst))
     except PreconditionError as exc:
         out.append(VerificationReport(
             "Thm4.1", inst, "", "", True, kind="theorem",

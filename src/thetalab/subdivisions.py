@@ -46,6 +46,7 @@ from .errors import (
     NotAFaceError,
     PreconditionError,
 )
+from .polynomials import IntPoly, is_gamma_positive, is_nonnegative, is_unimodal
 
 LabelSet = frozenset[str]
 
@@ -531,6 +532,17 @@ class ThetaClass:
     gamma_positive: bool
 
 
+def _theta_class_of(pairs: Iterable[tuple[IntPoly, int]]) -> ThetaClass:
+    """Fold (theta, carrier size) pairs of the nonempty restrictions; unimodal
+    reads positive, which has already checked that t is nonnegative."""
+    positive = unimodal = gamma_positive = True
+    for t, size in pairs:
+        positive = positive and is_nonnegative(t)
+        unimodal = unimodal and positive and is_unimodal(t)
+        gamma_positive = gamma_positive and is_gamma_positive(t, size)
+    return ThetaClass(positive, unimodal, gamma_positive)
+
+
 def theta_class(tri: Triangulation) -> ThetaClass:
     """Classify a triangulation by the theta polynomials of its restrictions.
 
@@ -542,25 +554,20 @@ def theta_class(tri: Triangulation) -> ThetaClass:
     """
     from .homology import is_homology_ball
     from .invariants import theta
-    from .polynomials import is_gamma_positive, is_nonnegative, is_unimodal
 
-    positive = unimodal = gamma_positive = True
-    for face in sorted(tri.base.faces(), key=len):
-        labels = tri.base.labels_of(face)
-        if not labels:
-            continue
-        sub = tri.restriction(labels)
+    def restriction_theta(face: Face) -> IntPoly:
+        sub = tri.restriction(face)
         boundary = is_homology_ball(sub.total)
         if boundary is None:
             raise PreconditionError(
-                "theta_class needs every nonempty restriction to be a "
-                f"homology ball; the restriction to {sorted(labels)} is not"
+                "theta_class needs every nonempty restriction to be a homology"
+                f" ball; the restriction to {sorted(tri.base.labels_of(face))}"
+                " is not"
             )
-        t = theta(sub.total, boundary)
-        positive = positive and is_nonnegative(t)
-        unimodal = unimodal and is_nonnegative(t) and is_unimodal(t)
-        gamma_positive = gamma_positive and is_gamma_positive(t, len(labels))
-    return ThetaClass(positive, unimodal, gamma_positive)
+        return theta(sub.total, boundary)
+
+    faces = [f for f in sorted(tri.base.faces(), key=len) if f]
+    return _theta_class_of((restriction_theta(f), len(f)) for f in faces)
 
 
 # --------------------------------------------------------------- file format

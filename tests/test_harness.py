@@ -20,11 +20,11 @@ from thetalab import (
     path,
     simplex,
     theta,
+    theta_class,
 )
 from thetalab import harness
 from thetalab.harness import (
     InstanceGenerator,
-    RestrictionEngine,
     VerificationReport,
     check_conjecture_5_3,
     check_link_conjecture,
@@ -38,6 +38,7 @@ from thetalab.harness import (
     subdivision_kinds,
     summarize,
     theta_verified,
+    triangulation_theta_flags,
     verified_boundary,
     verify_kms,
     verify_locality,
@@ -160,16 +161,31 @@ def test_ball_basics_certifies_each_complex_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
-def test_engine_local_h_matches_rebuilt_restrictions(name):
+def test_restriction_local_h_matches_rebuilt_restrictions(name):
     base = dict(corpus())[name]
     for kind, maker in subdivision_kinds():
         tri = maker(base)
-        engine = RestrictionEngine(tri, kind)
         for face in base.faces():
-            labels = tuple(sorted(base.labels_of(face)))
-            if labels:
-                assert engine.local_h_of(labels) == local_h(tri.restriction(labels)), (
-                    kind, labels)
+            if face:
+                assert harness._local_h_at(tri, face) == local_h(tri.restriction(face)), (
+                    kind, base.labels_of(face))
+
+
+def test_theta_flags_match_the_reference_theta_class():
+    # the shortcut route (uniform kinds checked once per size) against
+    # theta_class, which builds and certifies every restriction
+    bases = [(n, c) for n, c in corpus() if c.dim <= 2 or n == "simplex3"]
+    for name, base in bases:
+        for kind, maker in subdivision_kinds():
+            tri = maker(base)
+            assert triangulation_theta_flags(tri, kind) == theta_class(tri), (
+                kind, name)
+
+
+def test_restriction_theta_checks_the_fresh_subdivision():
+    tri = identity(simplex("abc"))
+    with pytest.raises(ConsistencyError, match="differs from the fresh subdivision"):
+        harness._restriction_theta(tri, tri.base.facets[0], "sd")
 
 
 # ------------------------------------------------------------- single checks
@@ -177,7 +193,7 @@ def test_engine_local_h_matches_rebuilt_restrictions(name):
 
 def test_verify_locality_identity_case():
     tri = barycentric(simplex("abc"))
-    r = verify_locality(tri, instance="sd(triangle)", kind="sd")
+    r = verify_locality(tri, instance="sd(triangle)")
     assert r.passed and r.identity == "Thm2.1"
 
 
@@ -196,7 +212,7 @@ def test_verify_kms_needs_simplex_base():
 
 def test_monotonicity_a():
     ball = cycle(4).cone("c")
-    r = verify_monotonicity_a(ball, barycentric(ball), "sd(cone)", kind="sd")
+    r = verify_monotonicity_a(ball, barycentric(ball), "sd(cone)")
     assert r.passed and r.kind == "theorem"
     # a simplex has no interior vertex
     with pytest.raises(PreconditionError):
