@@ -15,8 +15,9 @@ label sets, and the memo lasts that one call, so no run sees another's facts.
 Local h of a restriction is read off the carrier histogram.  The theta of a
 restriction of the uniform subdivisions (sd, antiprism, edgewise) depends
 only on its size, so it is checked against a fresh build once per
-triangulation and size; theta_class builds and certifies every restriction
-and is the reference route.
+triangulation and size; for the other kinds it is kept once per
+triangulation and base face.  theta_class builds and certifies every
+restriction and is the reference route.
 """
 
 from __future__ import annotations
@@ -330,10 +331,13 @@ def _restriction_theta(tri: Triangulation, face: Face, kind: str | None) -> IntP
     subdivision of the carrier simplex, so their theta depends only on the
     carrier size: once per triangulation and size in a run, the restriction
     is checked against a freshly built copy and the copy's theta is kept.
+    For the other kinds the theta is kept once per triangulation and face.
     """
     maker = _UNIFORM_MAKERS.get(kind)
     if maker is None:
-        return theta_verified(tri.restriction(face).total)
+        key = (_key(tri.base), _key(tri.total)), kind, frozenset(tri.base.labels_of(face))
+        return _cached("restriction", key,
+                       lambda: theta_verified(tri.restriction(face).total))
 
     def compute() -> IntPoly:
         labels = sorted(tri.base.labels_of(face))

@@ -14,8 +14,17 @@ has k points as its link, so facets and ridges are decided by ridge counts.
 The link of a codimension-2 face G is a graph, read off the facets through
 G: its V vertices are the ridges G+v, its E edges the facets G+{u,v}, and
 with c components (by union-find) its reduced Betti numbers are
-(0, c - 1, E - V + c).  Only faces of codimension 3 or more have their links
-built.
+(0, c - 1, E - V + c).  The link of a codimension-3 face G is generated by
+the triangles facet - G.  When each of its edges lies in at most two of
+them it is a surface, possibly with boundary and pinched at vertices, and
+its Betti numbers follow from counting: b0 = c - 1; b2 is the number of
+strong components (triangles joined across shared edges) with no free edge
+whose +-1 orientations agree, any orientation counting over Z/2 (the top
+homology of a pseudomanifold, Munkres, Elements of Algebraic Topology,
+sections 3 and 43); and b1 comes from the reduced Euler characteristic
+-1 + V - E + T.  An edge in three or more triangles, which only the
+Cohen-Macaulay test lets through, has the link built and passed to betti,
+as have the links of faces of codimension 4 or more.
 """
 
 from __future__ import annotations
@@ -154,29 +163,88 @@ def _ridge_counts(complex_: SimplicialComplex) -> dict[Face, int]:
     return counts
 
 
+def _surface_betti(triangles: list[Face], p: int | None) -> tuple[int, ...] | None:
+    """Reduced Betti numbers over Q (p None) or Z/p of the 2-complex the
+    triangles (sorted id triples) generate, or None when an edge lies in
+    three or more of them.
+
+    A 2-cycle takes one coefficient, up to the sign each shared edge
+    imposes, on a strong component, and none on a component with a free
+    edge; the signs must close up unless p == 2.
+    """
+    sides: dict[Face, list[tuple[int, int]]] = {}
+    for t, (a, b, c) in enumerate(triangles):
+        for edge, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
+            sides.setdefault(edge, []).append((t, sign))
+    # near[t]: (u, f) for each triangle u across an edge from t, where a
+    # cycle's coefficient on u is f times its coefficient on t
+    near: list[list[tuple[int, int]]] = [[] for _ in triangles]
+    free = [False] * len(triangles)
+    for pair in sides.values():
+        if len(pair) > 2:
+            return None
+        if len(pair) == 1:
+            free[pair[0][0]] = True
+        else:
+            (t, s), (u, r) = pair
+            near[t].append((u, -s * r))
+            near[u].append((t, -s * r))
+    orient = [0] * len(triangles)
+    closed = 0
+    for start in range(len(triangles)):
+        if orient[start]:
+            continue
+        orient[start], stack, cycle = 1, [start], True
+        while stack:
+            t = stack.pop()
+            cycle = cycle and not free[t]
+            for u, f in near[t]:
+                if not orient[u]:
+                    orient[u] = f * orient[t]
+                    stack.append(u)
+                elif orient[u] != f * orient[t] and p != 2:
+                    cycle = False
+        closed += cycle
+    vertices = len({v for tri in triangles for v in tri})
+    components = vertices - _graph_rank(sides)
+    # the reduced Euler characteristic -1 + V - E + T is b0 - b1 + b2
+    b1 = components + closed - vertices + len(sides) - len(triangles)
+    return (0, components - 1, b1, closed)
+
+
 def _links_pass(complex_: SimplicialComplex, field: int | None, counts: dict[Face, int],
                 ridge_ok: Callable[[int], bool],
                 link_ok: Callable[[Face, tuple[int, ...]], bool]) -> bool:
     """Whether a complex is pure, ridge_ok(k) holds for each ridge count k in
     `counts`, and link_ok(face, reduced Betti numbers of its link) for each
-    face of codimension 2 or more.  Facets and ridges need no link; the graph
-    link of a codimension-2 face comes from the facets through it, and only
-    faces of codimension 3 or more have their links built and passed to
-    betti."""
+    face of codimension 2 or more.  Facets and ridges need no link.  One pass
+    over the facets collects the graph link of each codimension-2 face and
+    the triangles of each codimension-3 face's link; _surface_betti reads
+    the latter's Betti numbers off the triangles when every edge lies in at
+    most two of them, and otherwise the link is built and passed to betti,
+    as are the links of faces of codimension 4 or more."""
     field = _validate_field(field)
     if not complex_.is_pure() or not all(ridge_ok(k) for k in counts.values()):
         return False
     graphs: dict[Face, list[Face]] = {}
+    surfaces: dict[Face, list[Face]] = {}
     for facet in complex_.facets:
         for i, j in itertools.combinations(range(len(facet)), 2):
             face = facet[:i] + facet[i + 1:j] + facet[j + 1:]
             graphs.setdefault(face, []).append((facet[i], facet[j]))
+        for i, j, k in itertools.combinations(range(len(facet)), 3):
+            face = facet[:i] + facet[i + 1:j] + facet[j + 1:k] + facet[k + 1:]
+            surfaces.setdefault(face, []).append((facet[i], facet[j], facet[k]))
     for face, edges in graphs.items():
         vertices = len({v for edge in edges for v in edge})
         components = vertices - _graph_rank(edges)
         if not link_ok(face, (0, components - 1, len(edges) - vertices + components)):
             return False
-    for d in range(-1, complex_.dim - 2):
+    for face, triangles in surfaces.items():
+        b = _surface_betti(triangles, field) or betti(complex_._link_ids(face), field).betti
+        if not link_ok(face, b):
+            return False
+    for d in range(-1, complex_.dim - 3):
         for face in complex_.faces_of_dim(d):
             if not link_ok(face, betti(complex_._link_ids(face), field).betti):
                 return False

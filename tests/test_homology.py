@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from thetalab import (
     PreconditionError,
     SimplicialComplex,
+    barycentric,
     betti,
     boundary_subcomplex,
     boundary_simplex,
@@ -33,6 +34,7 @@ from thetalab import (
     simplex,
     union,
 )
+from thetalab import homology
 from thetalab.harness import corpus, subdivision_kinds
 from thetalab.homology import _links_pass
 
@@ -327,20 +329,27 @@ def test_recognizers_check_vertex_links_of_surfaces():
         _assert_recognizers_match_reference(c)
 
 
-# ------------------------------------------------- graph links of codim-2
+# ------------------------------------- graph and surface links, codim 2-3
 
 
 def _assert_graph_links_match_betti(c):
-    """The links _links_pass reports for the faces of codimension 2, read
-    off the facets as graphs, have the Betti numbers `betti` gives them."""
-    for p in (None, 2):
+    """The links _links_pass reports for the faces of codimension 2 and 3,
+    read off the facets as graphs and surfaces, have the Betti numbers
+    `betti` gives them."""
+    for p in (None, 2, 3):
         seen = {}
         assert _links_pass(c, p, {}, lambda k: True,
                            lambda face, b: seen.setdefault(face, b) is not None)
-        codim2 = c.faces_of_dim(c.dim - 2) if c.dim >= 1 else ()
-        assert set(codim2) <= set(seen)
-        for face in codim2:
-            assert seen[face] == betti(c._link_ids(face), p).betti, (face, p)
+        for codim in (2, 3):
+            faces = c.faces_of_dim(c.dim - codim) if c.dim >= codim - 1 else ()
+            for face in faces:
+                assert seen[face] == betti(c._link_ids(face), p).betti, (face, p)
+
+
+def _moebius_band():
+    """Five-vertex Moebius band: the triangles {i, i+1, i+2} mod 5."""
+    return SimplicialComplex.from_facets(
+        [tuple(f"m{(i + t) % 5}" for t in range(3)) for i in range(5)])
 
 
 def test_graph_links_match_betti_on_corpus_triangulations():
@@ -357,22 +366,48 @@ def test_graph_links_match_betti_on_non_manifolds():
         # two tetrahedra on one edge, and three on one vertex
         [("a", "b", "c", "d"), ("a", "b", "e", "f")],
         [("a", "b", "c", "d"), ("a", "e", "f", "g"), ("a", "h", "i", "j")],
+        # three tetrahedra on one triangle: a's link has an edge in three
+        # triangles, so it is built and passed to betti
+        [("a", "b", "c", "d"), ("a", "b", "c", "e"), ("a", "b", "c", "f")],
         # graphs: the empty face's link is the whole complex
         [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c")],
     ]
     for facets in cases:
         _assert_graph_links_match_betti(SimplicialComplex.from_facets(facets))
-    for c in (octahedron(), _projective_plane(), example_5_4_ball()):
+    for c in (octahedron(), _projective_plane(), example_5_4_ball(), _moebius_band(),
+              _moebius_band().cone("apex"), _projective_plane().cone("apex")):
         _assert_graph_links_match_betti(c)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda k: st.lists(
+@given(st.integers(2, 5).flatmap(lambda k: st.lists(
     st.frozensets(st.integers(0, 7), min_size=k, max_size=k), min_size=1, max_size=10)))
 def test_graph_links_match_betti_on_random_pure_complexes(facets):
     c = SimplicialComplex.from_facets([sorted(f"v{i}" for i in f) for f in facets])
     assert c.is_pure()
     _assert_graph_links_match_betti(c)
+
+
+def test_ball_certification_builds_no_vertex_links(monkeypatch):
+    # a 3-ball of certify_large's size: every face's link but the empty
+    # face's is read off the facets
+    c = barycentric(barycentric(simplex("abcd")).total).total
+    built, calls = [], []
+    link_ids = SimplicialComplex._link_ids
+
+    def counted_link(self, face):
+        built.append(face)
+        return link_ids(self, face)
+
+    def counted_betti(*args):
+        calls.append(args)
+        return betti(*args)
+
+    monkeypatch.setattr(SimplicialComplex, "_link_ids", counted_link)
+    monkeypatch.setattr(homology, "betti", counted_betti)
+    assert is_homology_ball(c) is not None
+    assert [face for face in built if face] == []
+    assert len(calls) == 1
 
 
 def test_sphere_recognition():
@@ -436,6 +471,9 @@ def test_cohen_macaulay():
     # CM is not restricted to pure-looking geometry: RP^2 is CM over Q
     assert is_cohen_macaulay(_projective_plane())
     assert not is_cohen_macaulay(_projective_plane(), 2)
+    # the apex's link is RP^2, read off the facets: orientability decides
+    assert is_cohen_macaulay(_projective_plane().cone("apex"))
+    assert not is_cohen_macaulay(_projective_plane().cone("apex"), 2)
     bowtie = SimplicialComplex.from_facets([("a", "b", "x"), ("x", "c", "d")])
     assert not is_cohen_macaulay(bowtie)
     disconnected = SimplicialComplex.from_facets([("a", "b"), ("c", "d")])
