@@ -12,6 +12,8 @@ Every ball hypothesis is certified by is_homology_ball, whatever the size.
 The run memo is the only cache: within one run_suite or scan_reports call,
 or one direct call of a check that opens it, results are memoized by facet
 label sets, and the memo lasts that one call, so no run sees another's facts.
+It holds the triangulations as well: each kind of subdivision of a complex is
+built once per run, and each complex's h-polynomial is computed once.
 Local h of a restriction is read off the carrier histogram.  The theta of a
 restriction of the uniform subdivisions (sd, antiprism, edgewise) depends
 only on its size, so it is checked against a fresh build once per
@@ -57,7 +59,6 @@ from .homology import (
 from .invariants import (
     _local_h_at,
     h_poly,
-    h_vector,
     is_alternatingly_increasing,
     local_h,
     sphere_gamma,
@@ -191,6 +192,10 @@ def _key(c: SimplicialComplex) -> frozenset:
     return c.facet_labelsets()
 
 
+def _h(c: SimplicialComplex) -> IntPoly:
+    return _cached("h", _key(c), lambda: h_poly(c))
+
+
 def verified_boundary(c: SimplicialComplex) -> SimplicialComplex | None:
     """Boundary of c when c is a homology ball, certified by is_homology_ball."""
     if c.is_void:
@@ -221,18 +226,14 @@ def _ball_theta(c: SimplicialComplex, bd: SimplicialComplex) -> IntPoly:
     return _cached("theta", _key(c), lambda: theta(c, bd))
 
 
-def _sd_invariants(c: SimplicialComplex) -> tuple[IntPoly, IntPoly | None]:
-    """(h, theta) of the barycentric subdivision of c; theta when c is a ball."""
+def _sd_h(c: SimplicialComplex) -> IntPoly:
+    """h of the barycentric subdivision of c."""
+    return _h(_built("sd", c).total)
 
-    def compute() -> tuple[IntPoly, IntPoly | None]:
-        sd = barycentric(c)
-        h = h_poly(sd.total)
-        th: IntPoly | None = None
-        if not c.is_void and verified_boundary(c) is not None:
-            th = theta_verified(sd.total)
-        return h, th
 
-    return _cached("sd", _key(c), compute)
+def _sd_theta(c: SimplicialComplex) -> IntPoly:
+    """theta of the barycentric subdivision of c, certified a ball."""
+    return theta_verified(_built("sd", c).total)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -291,35 +292,36 @@ def _first_facet(c: SimplicialComplex) -> tuple[str, ...]:
     return min(tuple(sorted(c.labels_of(f))) for f in c.facets)
 
 
-def _stellar_first(c: SimplicialComplex) -> Triangulation:
-    return stellar(c, _first_facet(c))
-
-
-def _sd_of_stellar(c: SimplicialComplex) -> Triangulation:
-    st = _stellar_first(c)
-    return compose(barycentric(st.total), st)
-
-
 def subdivision_kinds() -> list[tuple[str, Callable[[SimplicialComplex], Triangulation]]]:
-    """Named triangulation constructors the suites apply to every base."""
+    """Named triangulation constructors the suites apply to every base;
+    "sd.stellar" is the barycentric subdivision of "stellar", composed."""
     return [
         ("identity", identity),
         ("sd", barycentric),
         ("antiprism", antiprism),
-        ("stellar", _stellar_first),
+        ("stellar", lambda c: stellar(c, _first_facet(c))),
         ("esd2", lambda c: edgewise(c, 2)),
         ("esd3", lambda c: edgewise(c, 3)),
-        ("sd.stellar", _sd_of_stellar),
+        ("sd.stellar", lambda c: _built("sd.stellar", c)),
     ]
 
 
-def _kinds(*names: str) -> list[tuple[str, Callable[[SimplicialComplex], Triangulation]]]:
-    """The named entries of subdivision_kinds(), in the order given."""
-    makers = dict(subdivision_kinds())
-    return [(name, makers[name]) for name in names]
+def _built(kind: str, c: SimplicialComplex) -> Triangulation:
+    """The triangulation of c of a kind named in subdivision_kinds(), built
+    once per run.  A name "outer.inner" composes the outer kind of the inner
+    kind's total with the inner triangulation."""
+
+    def compute() -> Triangulation:
+        outer, _, inner = kind.partition(".")
+        if not inner:
+            return dict(subdivision_kinds())[kind](c)
+        tri = _built(inner, c)
+        return compose(_built(outer, tri.total), tri)
+
+    return _cached("tri", (kind, _key(c)), compute)
 
 
-_UNIFORM_MAKERS = dict(_kinds("sd", "antiprism", "esd2", "esd3"))
+_UNIFORM_KINDS = ("sd", "antiprism", "esd2", "esd3")
 # the inner triangulations of the twice-subdivided simplexes
 _INNER_KINDS = ("identity", "stellar", "esd2")
 
@@ -333,15 +335,14 @@ def _restriction_theta(tri: Triangulation, face: Face, kind: str | None) -> IntP
     is checked against a freshly built copy and the copy's theta is kept.
     For the other kinds the theta is kept once per triangulation and face.
     """
-    maker = _UNIFORM_MAKERS.get(kind)
-    if maker is None:
+    if kind not in _UNIFORM_KINDS:
         key = (_key(tri.base), _key(tri.total)), kind, frozenset(tri.base.labels_of(face))
         return _cached("restriction", key,
                        lambda: theta_verified(tri.restriction(face).total))
 
     def compute() -> IntPoly:
         labels = sorted(tri.base.labels_of(face))
-        fresh = maker(simplex(labels))
+        fresh = _built(kind, simplex(labels))
         if tri.restriction(face) != fresh:
             raise ConsistencyError(
                 f"restriction to {labels} differs from the fresh"
@@ -381,10 +382,10 @@ def verify_locality(tri: Triangulation, instance: str = "") -> VerificationRepor
     base = tri.base
     if not base.is_pure():
         raise PreconditionError("the locality identity needs a pure base")
-    lhs = h_poly(tri.total)
+    lhs = _h(tri.total)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
-        rhs = rhs + _local_h_at(tri, face) * h_poly(base._link_ids(face))
+        rhs = rhs + _local_h_at(tri, face) * _h(base._link_ids(face))
     return VerificationReport(
         "Thm2.1", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -398,11 +399,10 @@ def verify_theta_formula(
     base = tri.base
     if not base.is_pure():
         raise PreconditionError("the theta formula needs a pure base")
-    lhs = h_poly(tri.total)
+    lhs = _h(tri.total)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
-        h_sd_link, _ = _sd_invariants(base._link_ids(face))
-        rhs = rhs + _restriction_theta(tri, face, kind) * h_sd_link
+        rhs = rhs + _restriction_theta(tri, face, kind) * _sd_h(base._link_ids(face))
     return VerificationReport(
         "Eq3.3", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -459,8 +459,8 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
     out: list[VerificationReport] = []
     n = c.dim + 1
     th = _ball_theta(c, bd)
-    hp = h_poly(c)
-    hbd = h_poly(bd)
+    hp = _h(c)
+    hbd = _h(bd)
     r, interior_edges = _interior_counts(c, bd)
 
     sym_ok = reverse(th, n) == th and th[0] == 0 and th[1] == r - 1
@@ -518,7 +518,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
         eq51, kind="identity",
     ))
 
-    hs = h_vector(c)
+    hs = hp.padded(n + 1)
     top_heavy = all(hs[i] <= hs[n - 1 - i] for i in range((n - 1) // 2 + 1))
     out.append(VerificationReport(
         "Eq5.2", name, str(_centered_unimodal(th, n)), str(top_heavy),
@@ -585,19 +585,16 @@ def _monotone_proof_identities(
     lhs = theta_verified(tri.total)
 
     via_local = _ball_theta(ball, bd)
-    via_theta = _sd_invariants(ball)[1]
-    assert via_theta is not None
+    via_theta = _sd_theta(ball)
     for face in _sorted_faces(ball):
         link = ball._link_ids(face)
         if face in interior:
-            via_local = via_local + _local_h_at(tri, face) * h_poly(link)
+            via_local = via_local + _local_h_at(tri, face) * _h(link)
             via_theta = via_theta + (
-                _restriction_theta(tri, face, kind) * _sd_invariants(link)[0])
+                _restriction_theta(tri, face, kind) * _sd_h(link))
         elif face:
             via_local = via_local + _local_h_at(tri, face) * theta_verified(link)
-            sd_link_theta = _sd_invariants(link)[1]
-            assert sd_link_theta is not None
-            via_theta = via_theta + _restriction_theta(tri, face, kind) * sd_link_theta
+            via_theta = via_theta + _restriction_theta(tri, face, kind) * _sd_theta(link)
     return [
         VerificationReport(
             "Thm4.1proof", instance, lhs.text(), via_local.text(),
@@ -627,8 +624,7 @@ def verify_monotonicity_b(
     if not flags.positive:
         raise PreconditionError("the triangulation is not theta positive")
     lhs = theta_verified(tri.total)
-    rhs = _sd_invariants(ball)[1]
-    assert rhs is not None
+    rhs = _sd_theta(ball)
     return VerificationReport(
         "Thm4.2", instance, lhs.text(), rhs.text(), poly_geq(lhs, rhs),
         kind="theorem",
@@ -641,8 +637,7 @@ def _monotonicity_b_parts(
 ) -> list[VerificationReport]:
     n = ball.dim + 1
     lhs = theta_verified(tri.total)
-    sd_theta = _sd_invariants(ball)[1]
-    assert sd_theta is not None
+    sd_theta = _sd_theta(ball)
     diff = lhs - sd_theta
     out = []
     if flags.unimodal:
@@ -715,7 +710,8 @@ def remark_4_7_instance() -> tuple[SimplicialComplex, SimplicialComplex, str]:
     Returns (outer, inner, vertex): the corner vertex lies in a unique facet
     of the outer ball, and removing its star costs exactly x^2 of theta.
     """
-    outer = edgewise(simplex(["a", "b", "c", "d"]), 4).total
+    base = simplex(["a", "b", "c", "d"])
+    outer = _cached("tri", ("esd4", _key(base)), lambda: edgewise(base, 4)).total
     vertex = "a:4"
     containing = [f for f in outer.facets if vertex in outer.labels_of(f)]
     if len(containing) != 1:
@@ -795,7 +791,7 @@ def _link_conjecture_cross_checks(
             detail="vertex deletion did not produce a ball bounded by the link",
         ))
         return out
-    expected = h_poly(c) - IntPoly((1, 1)) * h_poly(link)
+    expected = _h(c) - IntPoly((1, 1)) * _h(link)
     gv = gamma_vector(th, n)
     gamma_of_theta = IntPoly(gv.gammas) if gv is not None else None
     gamma_diff = _gamma_poly(c) - _gamma_poly(link)
@@ -830,13 +826,13 @@ def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport | No
     if not is_induced_subcomplex(bd, c):
         return None
     n = c.dim + 1
-    dec = symmetric_decomposition(h_poly(c), n - 1)
+    dec = symmetric_decomposition(_h(c), n - 1)
     parts_gamma = (
         is_gamma_positive(dec.a, n - 1) and is_gamma_positive(dec.b, n - 2)
     )
     components = (
         is_gamma_positive(_ball_theta(c, bd), n)
-        and is_gamma_positive(h_poly(bd), n - 1)
+        and is_gamma_positive(_h(bd), n - 1)
     )
     return VerificationReport(
         "Prop5.6equiv", name, str(parts_gamma), str(components),
@@ -1041,8 +1037,8 @@ def _triangulations_of(
 ) -> list[tuple[str, str, SimplicialComplex, Triangulation]]:
     out = []
     for bname, base in bases:
-        for kname, maker in subdivision_kinds():
-            out.append((f"{kname}({bname})", kname, base, maker(base)))
+        for kname, _ in subdivision_kinds():
+            out.append((f"{kname}({bname})", kname, base, _built(kname, base)))
     return out
 
 
@@ -1086,8 +1082,8 @@ def _h_corollary_reports(
     n = base.dim + 1
     out: list[VerificationReport] = []
     flags = triangulation_theta_flags(tri, kname)
-    h_total = h_poly(tri.total)
-    h_sd = _sd_invariants(base)[0]
+    h_total = _h(tri.total)
+    h_sd = _sd_h(base)
     diff = h_total - h_sd
 
     if profile.is_cm and flags.positive:
@@ -1222,7 +1218,7 @@ def _prop_2_3_reports(name: str, c: SimplicialComplex) -> list[VerificationRepor
     if not profile.is_cm or c.is_empty or c.is_void:
         return []
     n = c.dim + 1
-    hs = h_vector(c)
+    hs = _h(c).padded(n + 1)
     low = IntPoly.zero()
     mid = IntPoly.zero()
     high = IntPoly.zero()
@@ -1239,7 +1235,7 @@ def _prop_2_3_reports(name: str, c: SimplicialComplex) -> list[VerificationRepor
             dec = symmetric_decomposition(pnk(n, n - k), n)
             mid = mid + dec.a * hs[k]
             low = low + dec.b * hs[k]
-    h_sd = _sd_invariants(c)[0]
+    h_sd = _sd_h(c)
     total_ok = low + mid + high == h_sd
     parts_ok = True
     for part, center in ((low, n - 1), (mid, n), (high, n + 1)):
@@ -1305,18 +1301,15 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
     for dim in range(1, max_dim + 1):
         base = simplex([f"v{i}" for i in range(dim + 1)])
         nverts = dim + 1
-        for iname, imaker in _kinds(*_INNER_KINDS):
-            inner = imaker(base)
-            sd_inner = compose(barycentric(inner.total), inner)
-            ell_sd = local_h(sd_inner)
-            for oname, omaker in _kinds("sd", "antiprism", "esd2"):
+        for iname in _INNER_KINDS:
+            inner = _built(iname, base)
+            ell_sd = local_h(_built(f"sd.{iname}", base))
+            for oname in ("sd", "antiprism", "esd2"):
                 if oname == "antiprism" and dim >= 3 and iname != "identity":
                     continue
-                outer = omaker(inner.total)
-                composed = compose(outer, inner)
                 inst = f"{oname}({iname}(simplex{dim}))"
-                ell = local_h(composed)
-                flags = triangulation_theta_flags(outer, oname)
+                ell = local_h(_built(f"{oname}.{iname}", base))
+                flags = triangulation_theta_flags(_built(oname, inner.total), oname)
                 if flags.unimodal:
                     ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
                     out.append(VerificationReport(
@@ -1379,8 +1372,7 @@ def _monotone_instance_reports(
 def _rem43_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
     bd = verified_boundary(c)
     closed = theta_sd_closed_form(c, bd)
-    direct = _sd_invariants(c)[1]
-    assert direct is not None
+    direct = _sd_theta(c)
     out = [VerificationReport(
         "Rem4.3", name, closed.text(), direct.text(), closed == direct,
         kind="identity", detail="closed form against the built subdivision",
@@ -1417,7 +1409,7 @@ def _pair_reports(seed: int, max_dim: int, samples: int) -> list[VerificationRep
     # no-boundary-facet hypothesis nontrivially
     for name, inner, outer in list(pairs):
         pairs.append((
-            f"sd-{name}", barycentric(inner).total, barycentric(outer).total,
+            f"sd-{name}", _built("sd", inner).total, _built("sd", outer).total,
         ))
     out = []
     for name, inner, outer in pairs:
@@ -1493,7 +1485,7 @@ def _sphere_link_reports(name: str, c: SimplicialComplex) -> list[VerificationRe
 
 def _theta_zero_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
     instances = [(n, c) for n, c in _bases(max_dim)]
-    instances.append(("esd4(simplex3)", edgewise(simplex(list("abcd")), 4).total))
+    instances.append(("esd4(simplex3)", remark_4_7_instance()[0]))
     instances += _generated_balls(seed, max_dim, samples)
     hits = scan_theta_zero(instances)
     hit_names = {n for n, _ in hits}
@@ -1514,14 +1506,12 @@ def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
     out = []
     for dim in range(1, max_dim + 1):
         base = simplex([f"v{i}" for i in range(dim + 1)])
-        for iname, imaker in _kinds(*_INNER_KINDS):
-            inner = imaker(base)
-            targets = [("sd", compose(barycentric(inner.total), inner))]
+        for iname in _INNER_KINDS:
+            onames = ["sd"]
             if dim <= 2 or iname == "identity":
-                targets.append(
-                    ("antiprism", compose(antiprism(inner.total), inner)))
-            for oname, composed in targets:
-                ell = local_h(composed)
+                onames.append("antiprism")
+            for oname in onames:
+                ell = local_h(_built(f"{oname}.{iname}", base))
                 inst = f"{oname}({iname}(simplex{dim}))"
                 out.append(VerificationReport(
                     "Q6.3", inst, ell.text(), "real-rooted",

@@ -28,17 +28,25 @@ from .polynomials import GammaVector, IntPoly, gamma_vector, pnk
 from .subdivisions import Triangulation, _mask
 
 
+def _h_of_counts(counts: list[int]) -> IntPoly:
+    """sum_i counts[i] x^i (1-x)^(n-i) with n = len(counts) - 1: the
+    h-polynomial of faces counted by size (counts[i] faces of size i)."""
+    n = len(counts) - 1
+    coeffs = [0] * (n + 1)
+    for i, f in enumerate(counts):
+        for j in range(n - i + 1):
+            coeffs[i + j] += (-1) ** j * comb(n - i, j) * f
+    return IntPoly(coeffs)
+
+
 def h_poly(complex_: SimplicialComplex) -> IntPoly:
     """The h-polynomial; zero for the void complex, one for the empty complex."""
     if complex_.is_void:
         return IntPoly.zero()
-    n = complex_.dim + 1
-    fvec = complex_.f_vector()
-    one_minus_x = IntPoly((1, -1))
-    acc = IntPoly.zero()
-    for i in range(n + 1):
-        acc = acc + (one_minus_x ** (n - i)).shift(i) * fvec[i]
-    return acc
+    counts = [0] * (complex_.dim + 2)
+    for face in complex_.faces():
+        counts[len(face)] += 1
+    return _h_of_counts(counts)
 
 
 def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -56,15 +64,10 @@ def h_interior(
         return IntPoly.zero()
     if boundary is None:
         boundary = boundary_subcomplex(complex_)
-    n = complex_.dim + 1
-    counts = [0] * (n + 1)
+    counts = [0] * (complex_.dim + 2)
     for labels in interior_faces(complex_, boundary):
         counts[len(labels)] += 1
-    one_minus_x = IntPoly((1, -1))
-    acc = IntPoly.zero()
-    for i in range(n + 1):
-        acc = acc + (one_minus_x ** (n - i)).shift(i) * counts[i]
-    return acc
+    return _h_of_counts(counts)
 
 
 def theta(
@@ -86,9 +89,10 @@ def theta(
         raise PreconditionError(
             "theta needs a complex with nonempty boundary (a triangulated ball)"
         )
-    direct = h_poly(complex_) - h_poly(boundary)
+    h = h_poly(complex_)
+    direct = h - h_poly(boundary)
     n = complex_.dim + 1
-    hs = h_vector(complex_)
+    hs = h.padded(n + 1)
     coeffs = [0] * n
     for i in range(1, n):
         top = sum(hs[n - j] for j in range(1, i + 1))

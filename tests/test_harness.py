@@ -1,6 +1,7 @@
 """Verification harness: suites, report plumbing, generators, scans."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from thetalab import (
     IntPoly,
     PreconditionError,
     SimplicialComplex,
+    Triangulation,
     barycentric,
     boundary_subcomplex,
     cycle,
@@ -347,6 +349,27 @@ def test_run_suite_all_small():
 def test_run_suite_repeats_within_one_process():
     first = run_suite("theta", seed=2, max_dim=2, samples=1)
     assert first == run_suite("theta", seed=2, max_dim=2, samples=1)
+
+
+def test_run_suite_builds_each_triangulation_once(monkeypatch):
+    # stellar is exempt: the instance generator calls it on growing complexes
+    def key(arg):
+        if isinstance(arg, SimplicialComplex):
+            return arg.facet_labelsets()
+        if isinstance(arg, Triangulation):
+            return key(arg.base), key(arg.total)
+        return arg
+
+    calls = []
+    for name in ("identity", "barycentric", "antiprism", "edgewise", "compose"):
+        def counted(*args, _name=name, _build=getattr(harness, name)):
+            calls.append((_name, *map(key, args)))
+            return _build(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    run_suite("all", seed=0, max_dim=2, samples=1)
+    repeated = [call[0] for call, n in Counter(calls).items() if n > 1]
+    assert calls and not repeated, repeated
 
 
 def test_run_cache_lives_only_inside_a_run(monkeypatch):

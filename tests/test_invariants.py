@@ -1,6 +1,7 @@
 """h, interior h, theta, local h, gamma, and the subdivision closed forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetalab import (
     ConsistencyError,
@@ -31,7 +32,7 @@ from thetalab import (
     theta,
     theta_sd_closed_form,
 )
-from thetalab.harness import subdivision_kinds
+from thetalab.harness import corpus, subdivision_kinds
 
 P = IntPoly
 VOID = SimplicialComplex.from_facets([])
@@ -56,6 +57,30 @@ def test_h_known_values():
         assert h_poly(cycle(k)) == P((1, k - 2, 1))
     assert h_poly(path(4)) == P((1, 3))
     assert h_vector(path(4)) == (1, 3, 0)
+
+
+def _h_from_f_vector(c):
+    """The reference route: sum_i f_(i-1) x^i (1-x)^(n-i) over c.f_vector()."""
+    f = c.f_vector()
+    n = len(f) - 1
+    acc = P.zero()
+    for i, count in enumerate(f):
+        acc = acc + (P((1, -1)) ** (n - i)).shift(i) * count
+    return acc
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_h_matches_f_vector_route_on_corpus_triangulations(name):
+    base = dict(corpus())[name]
+    for c in [base] + [make(base).total for _, make in subdivision_kinds()]:
+        assert h_poly(c) == _h_from_f_vector(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), max_size=8))
+def test_h_matches_f_vector_route_on_random_complexes(facets):
+    c = SimplicialComplex.from_facets([sorted(f"v{i}" for i in f) for f in facets])
+    assert h_poly(c) == _h_from_f_vector(c)
 
 
 def test_h_interior_reverses_h_for_balls():
