@@ -58,11 +58,11 @@ from .homology import (
 )
 from .invariants import (
     _local_h_at,
+    _sphere_gamma_of_h,
+    _theta_of_h,
     h_poly,
     is_alternatingly_increasing,
     local_h,
-    sphere_gamma,
-    theta,
     theta_sd_closed_form,
 )
 from .polynomials import (
@@ -216,14 +216,14 @@ def theta_verified(c: SimplicialComplex) -> IntPoly:
         bd = verified_boundary(c)
         if bd is None:
             raise PreconditionError("not a verified homology ball")
-        return theta(c, bd)
+        return _ball_theta(c, bd)
 
     return _cached("theta", _key(c), compute)
 
 
 def _ball_theta(c: SimplicialComplex, bd: SimplicialComplex) -> IntPoly:
     """theta_verified(c) for a caller that holds bd = verified_boundary(c)."""
-    return _cached("theta", _key(c), lambda: theta(c, bd))
+    return _cached("theta", _key(c), lambda: _theta_of_h(_h(c), _h(bd), c.dim + 1))
 
 
 def _sd_h(c: SimplicialComplex) -> IntPoly:
@@ -749,7 +749,8 @@ def check_conjecture_5_3(
 
 
 def _gamma_poly(c: SimplicialComplex) -> IntPoly:
-    return IntPoly(sphere_gamma(c).gammas)
+    return _cached("gamma", _key(c),
+                   lambda: IntPoly(_sphere_gamma_of_h(_h(c), c.dim + 1).gammas))
 
 
 def check_link_conjecture(

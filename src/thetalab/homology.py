@@ -6,7 +6,10 @@ field the augmentation has rank 1 and the edge map rank #vertices -
 #components, found by union-find.  Higher ranks come from sparse column
 reduction: each boundary column is a {row: +-1} dict, reduced against pivots
 keyed by lowest row, fraction-free with gcd division over Q and with modular
-inverses over Z/p, so no floating point or rounding ever enters.
+inverses over Z/p, so no floating point or rounding ever enters.  Maps are
+reduced from the top dimension down, and a face that is a pivot row of the
+map above has its own column skipped, as it would reduce to zero (clearing:
+Chen and Kerber, "Persistent homology computation with a twist", 2011).
 
 Spheres, balls and Cohen-Macaulay complexes are recognized by face links.
 On a pure complex a facet's link is the (-1)-sphere and a ridge in k facets
@@ -49,8 +52,8 @@ def _validate_field(field: int | None) -> int | None:
     return field
 
 
-def _rank(columns: Iterable[dict[int, int]], p: int | None) -> int:
-    """Rank over Q (p None) or Z/p of a matrix given by sparse integer columns.
+def _rank(columns: Iterable[dict[int, int]], p: int | None) -> set[int]:
+    """Pivot rows over Q (p None) or Z/p of a matrix of sparse integer columns.
 
     Each column is reduced against a pivot table keyed by the lowest (largest)
     row of the columns kept so far; a column that reaches a free lowest row
@@ -87,7 +90,7 @@ def _rank(columns: Iterable[dict[int, int]], p: int | None) -> int:
                 g = math.gcd(*col.values())
                 if g > 1:
                     col = {r: v // g for r, v in col.items()}
-    return len(pivots)
+    return set(pivots)
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,10 @@ def _graph_rank(edges: Iterable[Face]) -> int:
 
 
 def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProfile:
-    """Reduced homology ranks of the augmented chain complex."""
+    """Reduced homology ranks of the augmented chain complex, reduced from
+    the top dimension down with clearing (Chen and Kerber, 2011): a face that
+    was a pivot row of the map above is left out, since with rows and columns
+    in one faces_of_dim order its column would reduce to zero."""
     field = _validate_field(field)
     if complex_.is_void:
         raise PreconditionError("homology of the void complex is undefined")
@@ -137,13 +143,15 @@ def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProf
     # augmentation has rank 1 and the edge map's comes from union-find, over
     # every field, so only the maps out of triangles and up are eliminated
     ranks = [0, 1, _graph_rank(complex_.faces_of_dim(1))][:len(by_dim)]
-    for rows, cols in zip(by_dim[2:], by_dim[3:]):
-        index = {f: i for i, f in enumerate(rows)}
-        ranks.append(_rank(
+    ranks += [0] * (len(by_dim) + 1 - len(ranks))
+    cleared: set[int] = set()
+    for j in range(len(by_dim) - 1, 2, -1):
+        index = {f: i for i, f in enumerate(by_dim[j - 1])}
+        cleared = _rank(
             ({index[f[:t] + f[t + 1:]]: -1 if t % 2 else 1 for t in range(len(f))}
-             for f in cols),
-            field))
-    ranks.append(0)
+             for i, f in enumerate(by_dim[j]) if i not in cleared),
+            field)
+        ranks[j] = len(cleared)
     return HomologyProfile(tuple(
         len(faces) - ranks[j] - ranks[j + 1] for j, faces in enumerate(by_dim)))
 

@@ -89,9 +89,12 @@ def theta(
         raise PreconditionError(
             "theta needs a complex with nonempty boundary (a triangulated ball)"
         )
-    h = h_poly(complex_)
-    direct = h - h_poly(boundary)
-    n = complex_.dim + 1
+    return _theta_of_h(h_poly(complex_), h_poly(boundary), complex_.dim + 1)
+
+
+def _theta_of_h(h: IntPoly, h_bd: IntPoly, n: int) -> IntPoly:
+    """theta = h - h_bd of an (n-1)-ball, checked against h's partial sums."""
+    direct = h - h_bd
     hs = h.padded(n + 1)
     coeffs = [0] * n
     for i in range(1, n):
@@ -156,8 +159,11 @@ def sphere_gamma(complex_: SimplicialComplex) -> GammaVector:
     """Gamma vector of the (symmetric) h-polynomial of a homology sphere."""
     if complex_.is_void:
         raise PreconditionError("gamma of the void complex is undefined")
-    h = h_poly(complex_)
-    n = complex_.dim + 1
+    return _sphere_gamma_of_h(h_poly(complex_), complex_.dim + 1)
+
+
+def _sphere_gamma_of_h(h: IntPoly, n: int) -> GammaVector:
+    """Gamma vector of a symmetric h-polynomial of degree at most n."""
     gv = gamma_vector(h, n)
     if gv is None:
         raise PreconditionError(

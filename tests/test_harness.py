@@ -1,6 +1,7 @@
 """Verification harness: suites, report plumbing, generators, scans."""
 
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ from thetalab import (
     theta,
     theta_class,
 )
-from thetalab import harness
+from thetalab import harness, invariants
 from thetalab.harness import (
     InstanceGenerator,
     VerificationReport,
@@ -370,6 +371,23 @@ def test_run_suite_builds_each_triangulation_once(monkeypatch):
     run_suite("all", seed=0, max_dim=2, samples=1)
     repeated = [call[0] for call, n in Counter(calls).items() if n > 1]
     assert calls and not repeated, repeated
+
+
+def test_run_suite_takes_each_h_once(monkeypatch):
+    # theta and the gamma vectors of spheres read h from the run memo too;
+    # h_vector serves the closed forms, second routes that take their own h
+    calls = []
+    h_poly = invariants.h_poly
+
+    def counted(c):
+        if sys._getframe(1).f_code.co_name != "h_vector":
+            calls.append(c.facet_labelsets())
+        return h_poly(c)
+
+    monkeypatch.setattr(invariants, "h_poly", counted)
+    monkeypatch.setattr(harness, "h_poly", counted)
+    run_suite("all", seed=0, max_dim=2, samples=1)
+    assert calls and len(set(calls)) == len(calls)
 
 
 def test_run_cache_lives_only_inside_a_run(monkeypatch):
