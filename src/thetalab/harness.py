@@ -15,10 +15,11 @@ label sets, and the memo lasts that one call, so no run sees another's facts.
 It holds the triangulations as well: each kind of subdivision of a complex is
 built once per run, and each complex's h-polynomial is computed once.
 Local h of a restriction is read off the carrier histogram.  The theta of a
-restriction of the uniform subdivisions (sd, antiprism, edgewise) depends
-only on its size, so it is checked against a fresh build once per
-triangulation and size; for the other kinds it is kept once per
-triangulation and base face.  theta_class builds and certifies every
+restriction is kept once per triangulation and base face, and shared by
+carrier pattern: restrictions with equal face counts and equal largest faces,
+their vertices named by carrier and rank, are isomorphic once one of them is
+a certified ball, so each pattern's theta is certified once per run, on the
+first restriction that has it.  theta_class builds and certifies every
 restriction and is the reference route.
 """
 
@@ -216,14 +217,9 @@ def theta_verified(c: SimplicialComplex) -> IntPoly:
         bd = verified_boundary(c)
         if bd is None:
             raise PreconditionError("not a verified homology ball")
-        return _ball_theta(c, bd)
+        return _theta_of_h(_h(c), _h(bd), c.dim + 1)
 
     return _cached("theta", _key(c), compute)
-
-
-def _ball_theta(c: SimplicialComplex, bd: SimplicialComplex) -> IntPoly:
-    """theta_verified(c) for a caller that holds bd = verified_boundary(c)."""
-    return _cached("theta", _key(c), lambda: _theta_of_h(_h(c), _h(bd), c.dim + 1))
 
 
 def _sd_h(c: SimplicialComplex) -> IntPoly:
@@ -288,10 +284,6 @@ def corpus() -> list[tuple[str, SimplicialComplex]]:
     ]
 
 
-def _first_facet(c: SimplicialComplex) -> tuple[str, ...]:
-    return min(tuple(sorted(c.labels_of(f))) for f in c.facets)
-
-
 def subdivision_kinds() -> list[tuple[str, Callable[[SimplicialComplex], Triangulation]]]:
     """Named triangulation constructors the suites apply to every base;
     "sd.stellar" is the barycentric subdivision of "stellar", composed."""
@@ -299,7 +291,7 @@ def subdivision_kinds() -> list[tuple[str, Callable[[SimplicialComplex], Triangu
         ("identity", identity),
         ("sd", barycentric),
         ("antiprism", antiprism),
-        ("stellar", lambda c: stellar(c, _first_facet(c))),
+        ("stellar", lambda c: stellar(c, _facet_labels(c)[0])),
         ("esd2", lambda c: edgewise(c, 2)),
         ("esd3", lambda c: edgewise(c, 3)),
         ("sd.stellar", lambda c: _built("sd.stellar", c)),
@@ -321,53 +313,67 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
     return _cached("tri", (kind, _key(c)), compute)
 
 
-_UNIFORM_KINDS = ("sd", "antiprism", "esd2", "esd3")
 # the inner triangulations of the twice-subdivided simplexes
 _INNER_KINDS = ("identity", "stellar", "esd2")
 
 
-def _restriction_theta(tri: Triangulation, face: Face, kind: str | None) -> IntPoly:
-    """theta of the restriction of tri to a base face (ids), certified a ball.
+def _restriction_theta(tri: Triangulation, face: Face) -> IntPoly:
+    """theta of the restriction of tri to a base face (ids), certified a ball
+    on the first restriction of its carrier pattern in the run."""
+    return _cached("restriction", (tri, frozenset(tri.base.labels_of(face))),
+                   lambda: _cached("pattern", _carrier_pattern(tri, face),
+                                   lambda: theta_verified(tri.restriction(face).total)))
 
-    The uniform subdivisions (sd, antiprism, edgewise) restrict to the same
-    subdivision of the carrier simplex, so their theta depends only on the
-    carrier size: once per triangulation and size in a run, the restriction
-    is checked against a freshly built copy and the copy's theta is kept.
-    For the other kinds the theta is kept once per triangulation and face.
+
+def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
+    """The restriction G of tri to a base face E (ids), up to isomorphism.
+
+    A vertex of G is named by its carrier, as a mask over E's positions, and
+    its rank among the vertices with that carrier.  The pattern is G's face
+    counts by size and its named largest faces.  A ball G is the complex of
+    its largest faces, so a G' with the same pattern holds a renamed copy of
+    G with as many faces: it is G renamed, whether or not tri was validated.
     """
-    if kind not in _UNIFORM_KINDS:
-        key = (_key(tri.base), _key(tri.total)), kind, frozenset(tri.base.labels_of(face))
-        return _cached("restriction", key,
-                       lambda: theta_verified(tri.restriction(face).total))
+    # the label tables fix what the ids in the index mean
+    index, names = _cached("carriers", (tri, tri.base.table, tri.total.table),
+                           lambda: _faces_by_carrier(tri))
+    subs = {0: 0}  # each submask of E, as base ids and as E's positions
+    for i, b in enumerate(face):
+        subs.update({m | 1 << b: r | 1 << i for m, r in list(subs.items())})
+    hist = tri._carrier_histogram()
+    counts = [sum(col) for col in zip(*(hist[m] for m in subs if m in hist))]
+    while counts and not counts[-1]:
+        counts.pop()
+    largest = frozenset(
+        frozenset((subs[names[v][0]], names[v][1]) for v in f)
+        for m in subs for f in index.get((len(counts) - 1, m), ()))
+    return tuple(counts), largest
 
-    def compute() -> IntPoly:
-        labels = sorted(tri.base.labels_of(face))
-        fresh = _built(kind, simplex(labels))
-        if tri.restriction(face) != fresh:
-            raise ConsistencyError(
-                f"restriction to {labels} differs from the fresh"
-                " subdivision of its carrier simplex"
-            )
-        return theta_verified(fresh.total)
 
-    return _cached("uniform", (kind, _key(tri.total), len(face)), compute)
+def _faces_by_carrier(tri: Triangulation):
+    """The faces of tri's total by (size, carrier mask), and each vertex's
+    (carrier mask, rank among the vertices with that carrier in id order)."""
+    index: dict[tuple[int, int], list[Face]] = {}
+    for f, m in tri._face_masks().items():
+        index.setdefault((len(f), m), []).append(f)
+    names = {v: (m, r) for (k, m), vs in index.items() if k == 1
+             for r, (v,) in enumerate(sorted(vs))}
+    return index, names
 
 
 @_run_cache()
-def triangulation_theta_flags(
-    tri: Triangulation, kind: str | None = None
-) -> ThetaClass:
+def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
     """The ThetaClass of tri, its restriction thetas from _restriction_theta.
 
-    theta_class computes the same class with no shortcut, as the reference.
+    theta_class computes the same class by building and certifying every
+    restriction, as the reference.
     """
 
     def compute() -> ThetaClass:
         faces = [f for f in _sorted_faces(tri.base) if f]
-        return _theta_class_of(
-            (_restriction_theta(tri, f, kind), len(f)) for f in faces)
+        return _theta_class_of((_restriction_theta(tri, f), len(f)) for f in faces)
 
-    return _cached("flags", ((_key(tri.base), _key(tri.total)), kind), compute)
+    return _cached("flags", tri, compute)
 
 
 def _sorted_faces(c: SimplicialComplex):
@@ -392,9 +398,7 @@ def verify_locality(tri: Triangulation, instance: str = "") -> VerificationRepor
 
 
 @_run_cache()
-def verify_theta_formula(
-    tri: Triangulation, instance: str = "", kind: str | None = None
-) -> VerificationReport:
+def verify_theta_formula(tri: Triangulation, instance: str = "") -> VerificationReport:
     """h of the total complex as the theta-weighted sum over subdivided links."""
     base = tri.base
     if not base.is_pure():
@@ -402,16 +406,14 @@ def verify_theta_formula(
     lhs = _h(tri.total)
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
-        rhs = rhs + _restriction_theta(tri, face, kind) * _sd_h(base._link_ids(face))
+        rhs = rhs + _restriction_theta(tri, face) * _sd_h(base._link_ids(face))
     return VerificationReport(
         "Eq3.3", instance, lhs.text(), rhs.text(), lhs == rhs
     )
 
 
 @_run_cache()
-def verify_kms(
-    tri: Triangulation, instance: str = "", kind: str | None = None
-) -> VerificationReport:
+def verify_kms(tri: Triangulation, instance: str = "") -> VerificationReport:
     """local h of a simplex triangulation as a theta-derangement convolution."""
     base = tri.base
     if not base.is_empty and len(base.facets) != 1:
@@ -421,7 +423,7 @@ def verify_kms(
     rhs = IntPoly.zero()
     for face in _sorted_faces(base):
         d = derangement_poly(nverts - len(face))
-        rhs = rhs + _restriction_theta(tri, face, kind) * d
+        rhs = rhs + _restriction_theta(tri, face) * d
     return VerificationReport(
         "Eq3.4", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -458,7 +460,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
         return []
     out: list[VerificationReport] = []
     n = c.dim + 1
-    th = _ball_theta(c, bd)
+    th = theta_verified(c)
     hp = _h(c)
     hbd = _h(bd)
     r, interior_edges = _interior_counts(c, bd)
@@ -553,6 +555,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
 # --------------------------------------------------------------- monotonicity
 
 
+@_run_cache()
 def verify_monotonicity_a(
     ball: SimplicialComplex, tri: Triangulation, instance: str = ""
 ) -> VerificationReport:
@@ -565,7 +568,7 @@ def verify_monotonicity_a(
     if not has_interior_vertex_property(ball, bd):
         raise PreconditionError("the ball lacks the interior vertex property")
     lhs = theta_verified(tri.total)
-    rhs = _ball_theta(ball, bd)
+    rhs = theta_verified(ball)
     return VerificationReport(
         "Thm4.1", instance, lhs.text(), rhs.text(), poly_geq(lhs, rhs),
         kind="theorem",
@@ -573,7 +576,7 @@ def verify_monotonicity_a(
 
 
 def _monotone_proof_identities(
-    ball: SimplicialComplex, tri: Triangulation, instance: str, kind: str | None
+    ball: SimplicialComplex, tri: Triangulation, instance: str
 ) -> list[VerificationReport]:
     """The two expansions of theta of a triangulated ball over base faces.
 
@@ -584,17 +587,17 @@ def _monotone_proof_identities(
     interior = interior_faces(ball, bd)
     lhs = theta_verified(tri.total)
 
-    via_local = _ball_theta(ball, bd)
+    via_local = theta_verified(ball)
     via_theta = _sd_theta(ball)
     for face in _sorted_faces(ball):
         link = ball._link_ids(face)
         if face in interior:
             via_local = via_local + _local_h_at(tri, face) * _h(link)
             via_theta = via_theta + (
-                _restriction_theta(tri, face, kind) * _sd_h(link))
+                _restriction_theta(tri, face) * _sd_h(link))
         elif face:
             via_local = via_local + _local_h_at(tri, face) * theta_verified(link)
-            via_theta = via_theta + _restriction_theta(tri, face, kind) * _sd_theta(link)
+            via_theta = via_theta + _restriction_theta(tri, face) * _sd_theta(link)
     return [
         VerificationReport(
             "Thm4.1proof", instance, lhs.text(), via_local.text(),
@@ -611,8 +614,7 @@ def _monotone_proof_identities(
 
 @_run_cache()
 def verify_monotonicity_b(
-    ball: SimplicialComplex, tri: Triangulation, instance: str = "",
-    kind: str | None = None,
+    ball: SimplicialComplex, tri: Triangulation, instance: str = ""
 ) -> VerificationReport:
     """theta of a theta-positive triangulation dominates the barycentric one."""
     bd = verified_boundary(ball)
@@ -620,7 +622,7 @@ def verify_monotonicity_b(
         raise PreconditionError("needs a verified ball of dimension >= 0")
     if tri.base != ball:
         raise PreconditionError("the triangulation must refine the given ball")
-    flags = triangulation_theta_flags(tri, kind)
+    flags = triangulation_theta_flags(tri)
     if not flags.positive:
         raise PreconditionError("the triangulation is not theta positive")
     lhs = theta_verified(tri.total)
@@ -665,6 +667,7 @@ def _monotonicity_b_parts(
     return out
 
 
+@_run_cache()
 def verify_monotonicity_c(
     outer: SimplicialComplex, inner: SimplicialComplex, instance: str = "",
     expected_gap: IntPoly | None = None,
@@ -683,8 +686,8 @@ def verify_monotonicity_c(
         raise PreconditionError("the smaller ball must be a subcomplex")
     if inner.dim != outer.dim:
         raise PreconditionError("the balls must have equal dimension")
-    t_outer = _ball_theta(outer, bd_outer)
-    t_inner = _ball_theta(inner, bd_inner)
+    t_outer = theta_verified(outer)
+    t_inner = theta_verified(inner)
     if expected_gap is not None:
         lhs = t_inner
         rhs = t_outer + expected_gap
@@ -723,6 +726,7 @@ def remark_4_7_instance() -> tuple[SimplicialComplex, SimplicialComplex, str]:
 # ----------------------------------------------------------------- conjectures
 
 
+@_run_cache()
 def check_conjecture_5_3(
     c: SimplicialComplex, instance: str = ""
 ) -> VerificationReport:
@@ -739,13 +743,13 @@ def check_conjecture_5_3(
     if reasons:
         detail = ", ".join(reasons)
         if bd is not None and not c.is_empty:
-            detail += f"; theta={_ball_theta(c, bd).text()}"
+            detail += f"; theta={theta_verified(c).text()}"
         return VerificationReport(
             "Conj5.3", instance, "", "", True, kind="conjecture",
             applicable=False, detail=detail,
         )
     return _gamma_report(
-        "Conj5.3", instance, _ball_theta(c, bd), c.dim + 1, kind="conjecture")
+        "Conj5.3", instance, theta_verified(c), c.dim + 1, kind="conjecture")
 
 
 def _gamma_poly(c: SimplicialComplex) -> IntPoly:
@@ -785,7 +789,7 @@ def _link_conjecture_cross_checks(
     link = c.link((vertex,))
     n = c.dim + 1
     boundary_is_link = bd == link
-    th = _ball_theta(deleted, bd) if bd is not None else None
+    th = theta_verified(deleted) if bd is not None else None
     if th is None or not boundary_is_link:
         out.append(VerificationReport(
             "Prop5.5proof", instance, "", "", False, kind="identity",
@@ -832,7 +836,7 @@ def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport | No
         is_gamma_positive(dec.a, n - 1) and is_gamma_positive(dec.b, n - 2)
     )
     components = (
-        is_gamma_positive(_ball_theta(c, bd), n)
+        is_gamma_positive(theta_verified(c), n)
         and is_gamma_positive(_h(bd), n - 1)
     )
     return VerificationReport(
@@ -853,7 +857,7 @@ def scan_theta_zero(
         bd = verified_boundary(c)
         if bd is None:
             continue
-        if _ball_theta(c, bd).is_zero():
+        if theta_verified(c).is_zero():
             out.append((name, c))
     return out
 
@@ -865,8 +869,10 @@ def _rng(seed: int, klass: str, dim: int, index: int) -> random.Random:
     return random.Random(f"thetalab:{seed}:{klass}:{dim}:{index}")
 
 
-def _facet_labels(c: SimplicialComplex) -> list[tuple[str, ...]]:
-    return sorted(tuple(sorted(c.labels_of(f))) for f in c.facets)
+def _facet_labels(c: SimplicialComplex, faces=None) -> list[tuple[str, ...]]:
+    """Label tuples of the facets of c, or of the given faces of c, sorted."""
+    return sorted(tuple(sorted(c.labels_of(f)))
+                  for f in (c.facets if faces is None else faces))
 
 
 def _attach_fresh(c: SimplicialComplex, rng: random.Random,
@@ -876,9 +882,7 @@ def _attach_fresh(c: SimplicialComplex, rng: random.Random,
     if pool is not None and not pool.is_void and pool.dim == c.dim - 1:
         ridges = _facet_labels(pool)
     else:
-        ridges = sorted(
-            tuple(sorted(c.labels_of(f))) for f in c.faces_of_dim(c.dim - 1)
-        )
+        ridges = _facet_labels(c, c.faces_of_dim(c.dim - 1))
     ridge = rng.choice(ridges)
     new = fresh_label(c, "w")
     return SimplicialComplex.from_facets(_facet_labels(c) + [ridge + (new,)])
@@ -905,19 +909,13 @@ def _grow_ball(rng: random.Random, dim: int, target_vertices: int,
 
 def _sphere_from_ball(ball: SimplicialComplex, apex: str) -> SimplicialComplex:
     bd = boundary_subcomplex(ball)
-    facets = _facet_labels(ball) + [
-        tuple(sorted(bd.labels_of(f))) + (apex,) for f in bd.facets
-    ]
+    facets = _facet_labels(ball) + [f + (apex,) for f in _facet_labels(bd)]
     return SimplicialComplex.from_facets(facets)
 
 
 def _suspension(c: SimplicialComplex, north: str, south: str) -> SimplicialComplex:
-    facets = []
-    for f in c.facets:
-        labels = tuple(sorted(c.labels_of(f)))
-        facets.append(labels + (north,))
-        facets.append(labels + (south,))
-    return SimplicialComplex.from_facets(facets)
+    return SimplicialComplex.from_facets(
+        f + (pole,) for f in _facet_labels(c) for pole in (north, south))
 
 
 def _grow_flag_sphere(rng: random.Random, dim: int,
@@ -926,10 +924,7 @@ def _grow_flag_sphere(rng: random.Random, dim: int,
     for level in range(dim - 1):
         c = _suspension(c, f"n{level}", f"s{level}")
     while len(c.vertices) < target_vertices:
-        edges = sorted(
-            tuple(sorted(c.labels_of(f))) for f in c.faces_of_dim(1)
-        )
-        c = stellar(c, rng.choice(edges)).total
+        c = stellar(c, rng.choice(_facet_labels(c, c.faces_of_dim(1)))).total
     return c
 
 
@@ -985,9 +980,7 @@ class InstanceGenerator:
             vertex = rng.choice(sorted(sphere.vertex_labels))
             c = sphere.delete_vertex(vertex)
             if rng.random() < 0.4:
-                edges = sorted(
-                    tuple(sorted(c.labels_of(f))) for f in c.faces_of_dim(1)
-                )
+                edges = _facet_labels(c, c.faces_of_dim(1))
                 c = stellar(c, rng.choice(edges)).total
             if not c.is_flag() or is_homology_ball(c) is None:
                 raise ConsistencyError("flag ball construction failed")
@@ -1056,7 +1049,7 @@ def _locality_reports(seed: int, max_dim: int, samples: int) -> list[Verificatio
     bases = _bases(max_dim) + _generated_balls(seed, max_dim, max(1, samples // 2))
     return [
         verify_locality(tri, inst)
-        for inst, kname, base, tri in _triangulations_of(bases)
+        for inst, _, _, tri in _triangulations_of(bases)
     ]
 
 
@@ -1065,7 +1058,7 @@ def _theta_reports(seed: int, max_dim: int, samples: int) -> list[VerificationRe
     generated = _generated_balls(seed, max_dim, samples)
     out: list[VerificationReport] = []
     for inst, kname, base, tri in _triangulations_of(bases):
-        out.append(verify_theta_formula(tri, inst, kname))
+        out.append(verify_theta_formula(tri, inst))
         out.extend(_h_corollary_reports(inst, kname, base, tri))
     for name, c in bases + generated:
         out.extend(ball_basics_reports(name, c))
@@ -1082,7 +1075,7 @@ def _h_corollary_reports(
     profile = base_profile(base)
     n = base.dim + 1
     out: list[VerificationReport] = []
-    flags = triangulation_theta_flags(tri, kname)
+    flags = triangulation_theta_flags(tri)
     h_total = _h(tri.total)
     h_sd = _sd_h(base)
     diff = h_total - h_sd
@@ -1258,19 +1251,19 @@ def _kms_reports(seed: int, max_dim: int, samples: int) -> list[VerificationRepo
         (n, c) for n, c in _bases(max_dim) if len(c.facets) == 1
     ]
     out: list[VerificationReport] = []
-    for inst, kname, base, tri in _triangulations_of(simplex_bases):
-        out.append(verify_kms(tri, inst, kname))
-        out.extend(_local_h_corollary_reports(inst, kname, base, tri))
+    for inst, _, base, tri in _triangulations_of(simplex_bases):
+        out.append(verify_kms(tri, inst))
+        out.extend(_local_h_corollary_reports(inst, base, tri))
     out.extend(_derangement_reports(max_n=6))
     out.extend(_iterated_local_h_reports(max_dim))
     return out
 
 
 def _local_h_corollary_reports(
-    inst: str, kname: str, base: SimplicialComplex, tri: Triangulation
+    inst: str, base: SimplicialComplex, tri: Triangulation
 ) -> list[VerificationReport]:
     nverts = len(base.vertices)
-    flags = triangulation_theta_flags(tri, kname)
+    flags = triangulation_theta_flags(tri)
     ell = local_h(tri)
     d_n = derangement_poly(nverts)
     out = []
@@ -1310,7 +1303,7 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
                     continue
                 inst = f"{oname}({iname}(simplex{dim}))"
                 ell = local_h(_built(f"{oname}.{iname}", base))
-                flags = triangulation_theta_flags(_built(oname, inner.total), oname)
+                flags = triangulation_theta_flags(_built(oname, inner.total))
                 if flags.unimodal:
                     ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
                     out.append(VerificationReport(
@@ -1337,8 +1330,8 @@ def _monotone_reports(seed: int, max_dim: int, samples: int) -> list[Verificatio
             ball_bases.append((name, c))
 
     out: list[VerificationReport] = []
-    for inst, kname, base, tri in _triangulations_of(ball_bases):
-        out.extend(_monotone_instance_reports(inst, kname, base, tri))
+    for inst, _, base, tri in _triangulations_of(ball_bases):
+        out.extend(_monotone_instance_reports(inst, base, tri))
     for name, c in ball_bases:
         out.extend(_rem43_reports(name, c))
     out.extend(_remark_4_7_reports())
@@ -1347,7 +1340,7 @@ def _monotone_reports(seed: int, max_dim: int, samples: int) -> list[Verificatio
 
 
 def _monotone_instance_reports(
-    inst: str, kname: str, base: SimplicialComplex, tri: Triangulation
+    inst: str, base: SimplicialComplex, tri: Triangulation
 ) -> list[VerificationReport]:
     out = []
     try:
@@ -1357,10 +1350,10 @@ def _monotone_instance_reports(
             "Thm4.1", inst, "", "", True, kind="theorem",
             applicable=False, detail=str(exc),
         ))
-    out.extend(_monotone_proof_identities(base, tri, inst, kname))
-    flags = triangulation_theta_flags(tri, kname)
+    out.extend(_monotone_proof_identities(base, tri, inst))
+    flags = triangulation_theta_flags(tri)
     try:
-        out.append(verify_monotonicity_b(base, tri, inst, kname))
+        out.append(verify_monotonicity_b(base, tri, inst))
     except PreconditionError as exc:
         out.append(VerificationReport(
             "Thm4.2", inst, "", "", True, kind="theorem",

@@ -175,20 +175,75 @@ def test_restriction_local_h_matches_rebuilt_restrictions(name):
 
 
 def test_theta_flags_match_the_reference_theta_class():
-    # the shortcut route (uniform kinds checked once per size) against
-    # theta_class, which builds and certifies every restriction
+    # restriction thetas shared by carrier pattern against theta_class,
+    # which builds and certifies every restriction
     bases = [(n, c) for n, c in corpus() if c.dim <= 2 or n == "simplex3"]
     for name, base in bases:
         for kind, maker in subdivision_kinds():
             tri = maker(base)
-            assert triangulation_theta_flags(tri, kind) == theta_class(tri), (
-                kind, name)
+            assert triangulation_theta_flags(tri) == theta_class(tri), (kind, name)
 
 
-def test_restriction_theta_checks_the_fresh_subdivision():
-    tri = identity(simplex("abc"))
-    with pytest.raises(ConsistencyError, match="differs from the fresh subdivision"):
-        harness._restriction_theta(tri, tri.base.facets[0], "sd")
+def test_restriction_theta_matches_theta_of_the_restriction():
+    # one run, so thetas are shared across faces, kinds and bases
+    bases = [(n, c) for n, c in corpus() if c.dim <= 2 or n == "simplex3"]
+    with harness._run_cache():
+        for name, base in bases:
+            for kind, maker in subdivision_kinds():
+                tri = maker(base)
+                for face in base.faces():
+                    if face:
+                        expected = theta(tri.restriction(face).total)
+                        assert harness._restriction_theta(tri, face) == expected, (
+                            kind, name, base.labels_of(face))
+
+
+def test_restriction_theta_certifies_each_carrier_pattern():
+    # the edge ab with a point x carried by ab has the same largest faces as
+    # the edge ab alone; only the face counts tell the two patterns apart
+    edge = identity(simplex("ab"))
+    total = SimplicialComplex.from_facets([("a", "b"), ("x",)])
+    carriers = {("a",): ("a",), ("b",): ("b",), ("x",): ("a", "b")}
+    bad = Triangulation(simplex("ab"), total, carriers, validate=False)
+    with harness._run_cache():
+        assert harness._restriction_theta(edge, edge.base.facets[0]) == theta(simplex("ab"))
+        with pytest.raises(PreconditionError, match="not a verified homology ball"):
+            harness._restriction_theta(bad, bad.base.facets[0])
+
+
+def test_run_suite_builds_each_carrier_pattern_once(monkeypatch):
+    patterns = []
+    restriction = Triangulation.restriction
+
+    def counted(self, face):
+        patterns.append(harness._carrier_pattern(self, self.base._face_arg(face)))
+        return restriction(self, face)
+
+    monkeypatch.setattr(Triangulation, "restriction", counted)
+    run_suite("all", seed=0, max_dim=2, samples=1)
+    assert patterns and len(set(patterns)) == len(patterns)
+
+
+def _hexagon_cone(carriers: dict[str, str]) -> Triangulation:
+    total = SimplicialComplex.from_facets(
+        [("o", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)])
+    return Triangulation(
+        simplex("abc"), total, {(v,): tuple(c) for v, c in carriers.items()})
+
+
+def test_theta_flags_tell_apart_triangulations_with_equal_complexes():
+    # one base, one total, two carrier maps: the run memo must not mix them
+    split = _hexagon_cone({"v0": "a", "v1": "b", "v2": "c", "v3": "ac",
+                           "v4": "ac", "v5": "ac", "o": "abc"})
+    even = _hexagon_cone({"v0": "a", "v1": "ab", "v2": "b", "v3": "bc",
+                          "v4": "c", "v5": "ac", "o": "abc"})
+    assert split.base == even.base and split.total == even.total
+    assert not theta_class(split).positive
+    flags = theta_class(even)
+    assert flags.positive and flags.unimodal and flags.gamma_positive
+    with harness._run_cache():
+        assert triangulation_theta_flags(split) == theta_class(split)
+        assert triangulation_theta_flags(even) == theta_class(even)
 
 
 # ------------------------------------------------------------- single checks
@@ -202,12 +257,12 @@ def test_verify_locality_identity_case():
 
 def test_verify_theta_formula():
     tri = barycentric(path(3))
-    r = verify_theta_formula(tri, instance="sd(path3)", kind="sd")
+    r = verify_theta_formula(tri, instance="sd(path3)")
     assert r.passed and r.identity == "Eq3.3"
 
 
 def test_verify_kms_needs_simplex_base():
-    r = verify_kms(barycentric(simplex("abc")), instance="sd", kind="sd")
+    r = verify_kms(barycentric(simplex("abc")), instance="sd")
     assert r.passed and r.identity == "Eq3.4"
     with pytest.raises(PreconditionError):
         verify_kms(barycentric(path(2)))
@@ -229,7 +284,7 @@ def test_monotonicity_a_rejects_foreign_triangulation():
 
 def test_monotonicity_b():
     ball = cycle(4).cone("c")
-    r = verify_monotonicity_b(ball, barycentric(ball), "sd(cone)", kind="sd")
+    r = verify_monotonicity_b(ball, barycentric(ball), "sd(cone)")
     assert r.passed and r.identity == "Thm4.2"
     # the identity triangulation of a simplex has negative restriction thetas
     with pytest.raises(PreconditionError):
