@@ -14,13 +14,13 @@ or one direct call of a check that opens it, results are memoized by facet
 label sets, and the memo lasts that one call, so no run sees another's facts.
 It holds the triangulations as well: each kind of subdivision of a complex is
 built once per run, and each complex's h-polynomial is computed once.
-Local h of a restriction is read off the carrier histogram.  The theta of a
-restriction is kept once per triangulation and base face, and shared by
-carrier pattern: restrictions with equal face counts and equal largest faces,
-their vertices named by carrier and rank, are isomorphic once one of them is
-a certified ball, so each pattern's theta is certified once per run, on the
-first restriction that has it.  theta_class builds and certifies every
-restriction and is the reference route.
+Local h and carrier patterns are read off a triangulation's carrier index.
+The theta of a restriction is kept once per triangulation and base face, and
+shared by carrier pattern: restrictions with equal face counts and equal
+largest faces, their vertices named by carrier and rank, are isomorphic once
+one of them is a certified ball, so each pattern's theta is certified once per
+run, on the first restriction that has it.  theta_class builds and certifies
+every restriction and is the reference route.
 """
 
 from __future__ import annotations
@@ -334,31 +334,19 @@ def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
     its largest faces, so a G' with the same pattern holds a renamed copy of
     G with as many faces: it is G renamed, whether or not tri was validated.
     """
-    # the label tables fix what the ids in the index mean
-    index, names = _cached("carriers", (tri, tri.base.table, tri.total.table),
-                           lambda: _faces_by_carrier(tri))
+    index = tri._carrier_index()
     subs = {0: 0}  # each submask of E, as base ids and as E's positions
     for i, b in enumerate(face):
         subs.update({m | 1 << b: r | 1 << i for m, r in list(subs.items())})
-    hist = tri._carrier_histogram()
-    counts = [sum(col) for col in zip(*(hist[m] for m in subs if m in hist))]
+    carried = [(subs[m], index[m]) for m in subs if m in index]
+    counts = tri._counts_in(face)
     while counts and not counts[-1]:
         counts.pop()
-    largest = frozenset(
-        frozenset((subs[names[v][0]], names[v][1]) for v in f)
-        for m in subs for f in index.get((len(counts) - 1, m), ()))
+    names = {v: (pos, r) for pos, by_size in carried
+             for vertices in by_size[1:2] for r, (v,) in enumerate(vertices)}
+    largest = frozenset(frozenset(names[v] for v in f)
+                        for _, by_size in carried for f in by_size[len(counts) - 1])
     return tuple(counts), largest
-
-
-def _faces_by_carrier(tri: Triangulation):
-    """The faces of tri's total by (size, carrier mask), and each vertex's
-    (carrier mask, rank among the vertices with that carrier in id order)."""
-    index: dict[tuple[int, int], list[Face]] = {}
-    for f, m in tri._face_masks().items():
-        index.setdefault((len(f), m), []).append(f)
-    names = {v: (m, r) for (k, m), vs in index.items() if k == 1
-             for r, (v,) in enumerate(sorted(vs))}
-    return index, names
 
 
 @_run_cache()
@@ -846,6 +834,7 @@ def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport | No
     )
 
 
+@_run_cache()
 def scan_theta_zero(
     instances: Iterable[tuple[str, SimplicialComplex]]
 ) -> list[tuple[str, SimplicialComplex]]:

@@ -4,9 +4,9 @@ theta is always computed two independent ways (boundary subtraction and the
 partial-sum formula) and a ConsistencyError is raised if they disagree, so a
 successful call certifies its own arithmetic.
 
-Local h is read from the carrier histogram of a triangulation (the number of
-faces F of each size |F| with each carrier sigma(F)) in one pass, with no
-restriction rebuilt: for a base simplex E,
+Local h is read from the carrier index of a triangulation (the faces F of
+each size |F| with each carrier sigma(F), of which only the counts are used)
+in one pass, with no restriction rebuilt: for a base simplex E,
 
     l_E(x) = sum over F with sigma(F) inside E of
              (-1)^(|E|-|sigma(F)|) x^(|E|-|sigma(F)|+|F|) (1-x)^(|sigma(F)|-|F|),
@@ -117,7 +117,7 @@ def _theta_of_h(h: IntPoly, h_bd: IntPoly, n: int) -> IntPoly:
 def local_h(tri: Triangulation) -> IntPoly:
     """Local h-polynomial of a triangulation of a simplex on n vertices.
 
-    One sum over the carrier histogram, with sigma(F) the carrier of F:
+    One sum over the carrier index, with sigma(F) the carrier of F:
 
         sum over faces F of (-1)^(n-|sigma(F)|) x^(n-|sigma(F)|+|F|)
                             (1-x)^(|sigma(F)|-|F|)
@@ -138,14 +138,14 @@ def local_h(tri: Triangulation) -> IntPoly:
 
 def _local_h_at(tri: Triangulation, face: Face) -> IntPoly:
     """Local h of the restriction of tri to a base face (ids), from the
-    carrier histogram."""
+    carrier index."""
     size, mask = len(face), _mask(face)
-    hist = tri._carrier_histogram()
+    index = tri._carrier_index()
     coeffs = [0] * (size + 1)
     sub = mask
     while True:
         s = sub.bit_count()
-        for k, c in enumerate(hist.get(sub, ())):
+        for k, c in enumerate(map(len, index.get(sub, ()))):
             # c (-1)^(size-s) x^(size-s+k) (1-x)^(s-k), expanded binomially
             for j in range(s - k + 1):
                 coeffs[size - s + k + j] += (-1) ** (size - s + j) * c * comb(s - k, j)

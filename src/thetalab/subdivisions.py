@@ -8,10 +8,10 @@ face's carrier is the OR of its vertices' masks.  The constructor takes the
 same mapping as the file format: every vertex of the total complex needs a
 carrier, and a higher face may be given one only if it equals the union.
 
-Each Triangulation caches its carrier histogram: for every carrier mask, the
-number of faces of each size carried there.  validate reads the Euler
-characteristics of all restrictions from it, and local h of the whole
-triangulation or of any restriction is a sum over it (see invariants).
+Each Triangulation caches one carrier index: for every carrier mask, the
+faces carried there, listed by size.  validate checks it mask by mask, local
+h of any restriction is a sum over its list lengths (see invariants), and the
+harness reads the largest faces of restrictions from it.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -69,7 +69,7 @@ def _mask_labels(complex_: SimplicialComplex, mask: int) -> list[str]:
 class Triangulation:
     """A total complex refining a base complex, with face carriers."""
 
-    __slots__ = ("_base", "_total", "_vmask", "_masks", "_hist")
+    __slots__ = ("_base", "_total", "_vmask", "_index")
 
     @classmethod
     def _on_masks(cls, base: SimplicialComplex, total: SimplicialComplex,
@@ -78,7 +78,7 @@ class Triangulation:
         vertex id; masks and complexes are trusted, not checked again."""
         tri = cls.__new__(cls)
         tri._base, tri._total, tri._vmask = base, total, tuple(vmask)
-        tri._masks = tri._hist = None
+        tri._index = None
         if validate:
             tri.validate()
         return tri
@@ -93,8 +93,7 @@ class Triangulation:
     ):
         self._base = base
         self._total = total
-        self._masks: dict[Face, int] | None = None
-        self._hist: dict[int, list[int]] | None = None
+        self._index: dict[int, list[list[Face]]] | None = None
         vmask: list[int | None] = [None] * len(total.table)
         higher: list[tuple[Face, int]] = []
         for key, value in carrier.items():
@@ -141,29 +140,36 @@ class Triangulation:
             mask |= vmask[v]
         return mask
 
-    def _face_masks(self) -> dict[Face, int]:
-        """Carrier mask of every face of the total complex (cached)."""
-        if self._masks is None:
-            self._masks = {f: self._carrier_mask(f) for f in self._total.faces()}
-        return self._masks
+    def _carrier_index(self) -> dict[int, list[list[Face]]]:
+        """The faces of the total complex by carrier mask and size (cached).
 
-    def _carrier_histogram(self) -> dict[int, list[int]]:
-        """Face counts by carrier mask (cached).
-
-        Entry k of the list at mask m counts the faces with k vertices and
-        carrier mask m; the empty face is counted at mask 0.  Every list has
-        dim + 2 entries, for the face sizes of the total complex.
+        List k at mask m holds the faces with k vertices and carrier mask m;
+        the empty face is at mask 0.  Every mask has dim + 2 lists, for the
+        face sizes of the total complex, and its vertex list is in id order.
         """
-        if self._hist is None:
+        if self._index is None:
             width = 0 if self._total.is_void else self._total.dim + 2
-            hist: dict[int, list[int]] = {}
-            for face, mask in self._face_masks().items():
-                counts = hist.get(mask)
-                if counts is None:
-                    counts = hist[mask] = [0] * width
-                counts[len(face)] += 1
-            self._hist = hist
-        return self._hist
+            index: dict[int, list[list[Face]]] = {}
+            for face in self._total.faces():
+                mask = self._carrier_mask(face)
+                lists = index.get(mask)
+                if lists is None:
+                    lists = index[mask] = [[] for _ in range(width)]
+                lists[len(face)].append(face)
+            if width > 1:
+                for lists in index.values():
+                    lists[1].sort()
+            self._index = index
+        return self._index
+
+    def _counts_in(self, face: Face) -> list[int]:
+        """Face counts by size of the restriction to a base face (ids): the
+        faces carried in any part of it, the empty face included."""
+        index, subs = self._carrier_index(), [0]
+        for v in face:
+            subs += [sub | 1 << v for sub in subs]
+        within = [index[sub] for sub in subs if sub in index]
+        return [sum(map(len, faces)) for faces in zip(*within)]
 
     def carrier_of(self, face) -> Face:
         """Carrier of a total face, as a face (id tuple) of the base."""
@@ -180,7 +186,8 @@ class Triangulation:
         total, base = self._total, self._base
         return {
             frozenset(total.labels_of(f)): frozenset(base.labels_of(_ids(m)))
-            for f, m in self._face_masks().items()
+            for m, lists in self._carrier_index().items()
+            for faces in lists for f in faces
         }
 
     def validate(self) -> None:
@@ -189,9 +196,9 @@ class Triangulation:
         Besides bookkeeping (carriers are base faces, only the empty face has
         the empty carrier), this checks that the restriction to every base
         face is pure of the right dimension and has the Euler characteristic
-        of a ball, with vertices restricting to single points.  Dimensions
-        and purity are checked face by face; Euler characteristics and full
-        dimension come from the carrier histogram.
+        of a ball, with vertices restricting to single points.  Carriers and
+        dimensions are checked once per carrier mask, purity face by face,
+        and Euler characteristics and full dimension from face counts.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
@@ -203,17 +210,18 @@ class Triangulation:
                 "only the empty face may have an empty carrier"
             )
         base_masks = {_mask(f) for f in base.faces()}
-        masks = self._face_masks()
+        index = self._carrier_index()
         # carriers of the faces one vertex larger: a face of a restriction is
         # maximal there exactly when none of these lies inside the base face
         up: dict[Face, list[int]] = {}
-        for face, mask in masks.items():
+        for mask, lists in index.items():
             if mask not in base_masks:
+                face = next(itertools.chain.from_iterable(lists))
                 raise InvalidTriangulationError(
                     f"carrier {_mask_labels(base, mask)} of"
                     f" {sorted(total.labels_of(face))} is not a face of the base"
                 )
-            if len(face) > 1:
+            for face in itertools.chain.from_iterable(lists[2:]):
                 for sub in itertools.combinations(face, len(face) - 1):
                     up.setdefault(sub, []).append(mask)
         # the base faces one vertex larger than each base face
@@ -226,52 +234,45 @@ class Triangulation:
                 rest ^= bit
         # a face m lies in the restriction to every base face containing
         # sigma(m); it is maximal in some restriction of higher dimension
-        # exactly when it is maximal in the restriction to sigma(m) (when
-        # |m| < |sigma(m)|) or to some sigma(m) + w (when |m| = |sigma(m)|)
-        for face, mask in masks.items():
-            if not face:
-                continue
+        # exactly when it is maximal (no coface carried inside) in the
+        # restriction to sigma(m) (when |m| < |sigma(m)|) or to some
+        # sigma(m) + w (when |m| = |sigma(m)|)
+        for mask, lists in index.items():
             size = mask.bit_count()
-            if len(face) > size:
+            if any(lists[size + 1:]):
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, mask)} has a face of"
                     f" dimension above dim {size - 1}"
                 )
-            cofaces = up.get(face, ())
-            if len(face) < size:
-                maximal_in = () if mask in cofaces else (mask,)
-            else:
-                maximal_in = [w for w in wider.get(mask, ())
-                              if all(e & ~w for e in cofaces)]
-            if maximal_in:
-                raise InvalidTriangulationError(
-                    f"restriction to {_mask_labels(base, maximal_in[0])} is not"
-                    f" pure: {sorted(total.labels_of(face))} is maximal"
-                )
-        hist = self._carrier_histogram()
-        width = total.dim + 2
+            for k, faces in enumerate(lists[1:size + 1], 1):
+                targets = (mask,) if k < size else wider.get(mask, ())
+                for face in faces:
+                    cofaces = up.get(face, ())
+                    if mask in cofaces:  # that coface is wherever face is
+                        continue
+                    for w in targets:
+                        if all(e & ~w for e in cofaces):
+                            raise InvalidTriangulationError(
+                                f"restriction to {_mask_labels(base, w)} is not"
+                                f" pure: {sorted(total.labels_of(face))} is maximal"
+                            )
         for fmask in base_masks:
             if not fmask:
                 continue
             size = fmask.bit_count()
-            counts = [0] * width
-            sub = fmask
-            while sub:
-                for k, c in enumerate(hist.get(sub, ())):
-                    counts[k] += c
-                sub = (sub - 1) & fmask
-            if size >= width or not counts[size]:
+            counts = self._counts_in(_ids(fmask))
+            if size >= len(counts) or not counts[size]:
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, fmask)} has no face of"
                     " full dimension"
                 )
             # a vertex's restriction has only points by the dimension check,
-            # so Euler characteristic 1 makes it a single point
+            # so reduced Euler characteristic 0 makes it a single point
             euler = sum(c if k % 2 else -c for k, c in enumerate(counts))
-            if euler != 1:
+            if euler:
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, fmask)} has reduced Euler"
-                    f" characteristic {euler - 1}, expected 0"
+                    f" characteristic {euler}, expected 0"
                 )
 
     def restriction(self, face) -> "Triangulation":

@@ -344,6 +344,19 @@ def test_scan_theta_zero_membership():
     assert "octahedron" not in hits  # not a ball at all
 
 
+def test_scan_theta_zero_certifies_each_ball_once(monkeypatch):
+    calls = []
+    certify = harness.is_homology_ball
+
+    def counted(c):
+        calls.append(c)
+        return certify(c)
+
+    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    scan_theta_zero([("x", example_5_2_ball())])
+    assert len(calls) == 1
+
+
 def test_scan_reports_theta_zero():
     reports = scan_reports("theta-zero", seed=0, max_dim=2, samples=1)
     assert reports and all(r.identity == "Q3.10" for r in reports)

@@ -35,6 +35,7 @@ from thetalab import (
     theta_class,
     write_triangulation_file,
 )
+from thetalab.harness import corpus, subdivision_kinds, triangulation_theta_flags
 from thetalab.homology import boundary_subcomplex
 from thetalab.subdivisions import (
     _mask,
@@ -487,7 +488,8 @@ def _per_restriction_validate(tri):
     base_masks = {_mask(f) for f in base.faces()}
     buckets = {}
     up = {}
-    for face, mask in tri._face_masks().items():
+    for face in total.faces():
+        mask = tri._carrier_mask(face)
         buckets.setdefault(mask, []).append(face)
         for i in range(len(face)):
             up.setdefault(face[:i] + face[i + 1:], set()).add(mask)
@@ -605,3 +607,80 @@ def test_validate_message(message):
         candidate.validate()
     assert message in str(info.value)
     assert _rejects(_per_restriction_validate, candidate)
+
+
+# ----------------------------------------------------------- the carrier index
+
+
+def _check_carrier_index(tri):
+    """Every face of the total is listed once, under its carrier mask and its
+    size; each mask has dim + 2 lists, and its vertices are in id order."""
+    listed = []
+    for mask, lists in tri._carrier_index().items():
+        assert len(lists) == tri.total.dim + 2
+        for size, faces in enumerate(lists):
+            assert all(len(f) == size and tri._carrier_mask(f) == mask for f in faces)
+            listed.extend(faces)
+        assert all(vertices == sorted(vertices) for vertices in lists[1:2])
+    assert len(listed) == len(set(listed)) and set(listed) == tri.total.faces()
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_carrier_index_lists_every_face_once(name):
+    base = dict(corpus())[name]
+    for _kind, maker in subdivision_kinds():
+        _check_carrier_index(maker(base))
+
+
+def _perturbations(tri):
+    """Every candidate that test_validate_agrees_with_per_restriction_rule can
+    draw from tri, unvalidated: one vertex carrier moved to any base face, or
+    one total facet dropped."""
+    carriers = _vertex_carriers(tri)
+    faces = sorted(tuple(sorted(tri.base.labels_of(f))) for f in tri.base.faces())
+    for vertex in sorted(carriers):
+        for face in faces:
+            yield Triangulation(tri.base, tri.total, {**carriers, vertex: face},
+                                validate=False)
+    facets = sorted(tuple(sorted(tri.total.labels_of(f))) for f in tri.total.facets)
+    for dropped in facets:
+        total = SimplicialComplex.from_facets([f for f in facets if f != dropped])
+        yield Triangulation(tri.base, total,
+                            {(v,): carriers[(v,)] for v in total.vertex_labels},
+                            validate=False)
+
+
+@pytest.mark.parametrize("tri", _SMALL_TRIANGULATIONS)
+def test_carrier_index_of_perturbed_triangulations(tri):
+    for candidate in _perturbations(tri):
+        _check_carrier_index(candidate)
+
+
+# ---------------------------------------------- a non-subdivision validate accepts
+
+
+def _path_plus_triangle():
+    """The edge ab triangulated by the path a-m-b plus a disjoint 3-cycle xyz
+    carried by ab: pure, with the Euler characteristic of a ball in every
+    restriction, but not a subdivision (its local h comes out as 4x)."""
+    total = SimplicialComplex.from_facets(
+        [("a", "m"), ("m", "b"), ("x", "y"), ("y", "z"), ("x", "z")])
+    carriers = {("a",): ("a",), ("b",): ("b",),
+                **{(v,): ("a", "b") for v in "mxyz"}}
+    return Triangulation(simplex("ab"), total, carriers, validate=False)
+
+
+def test_non_subdivision_is_refused_by_the_theta_routes():
+    tri = _path_plus_triangle()
+    with pytest.raises(PreconditionError):
+        theta_class(tri)
+    with pytest.raises(PreconditionError):
+        triangulation_theta_flags(tri)
+
+
+@pytest.mark.xfail(strict=True, reason="validate checks Euler characteristics,"
+                   " not that each restriction is a homology ball")
+def test_non_subdivision_is_rejected_at_construction():
+    tri = _path_plus_triangle()
+    with pytest.raises(InvalidTriangulationError):
+        Triangulation(tri.base, tri.total, _vertex_carriers(tri))
