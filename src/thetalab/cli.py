@@ -51,6 +51,8 @@ from .subdivisions import (
 )
 
 TABLE_CAP = 10
+# edgewise:r builds r^k facets over each base facet of dimension k
+EDGEWISE_FACET_CAP = 100_000
 
 
 def _display(p: IntPoly) -> str:
@@ -119,9 +121,17 @@ def _make_subdivider(spec: str):
         except ValueError:
             raise PreconditionError(
                 f"edgewise needs an integer parameter, got {raw!r}") from None
-        return lambda c: edgewise(c, r)
+        return lambda c: _edgewise(c, r)
     raise PreconditionError(
         f"unknown kind {spec!r}; use sd, antiprism, stellar:F or edgewise:r")
+
+
+def _edgewise(c, r: int):
+    """edgewise(c, r), refused above EDGEWISE_FACET_CAP facets."""
+    if r > 1 and sum(r ** max(len(f) - 1, 0) for f in c.facets) > EDGEWISE_FACET_CAP:
+        raise PreconditionError(
+            f"edgewise:{r} would build more than {EDGEWISE_FACET_CAP} facets")
+    return edgewise(c, r)
 
 
 def _cmd_subdivide(args) -> int:

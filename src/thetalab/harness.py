@@ -13,8 +13,10 @@ The run memo is the only cache: within one run_suite or scan_reports call,
 or one direct call of a check that opens it, results are memoized by facet
 label sets, and the memo lasts that one call, so no run sees another's facts.
 It holds the triangulations as well: each kind of subdivision of a complex is
-built once per run, and each complex's h-polynomial is computed once.
-Local h and carrier patterns are read off a triangulation's carrier index.
+built once per run, and each complex's h-polynomial is computed once.  Every
+expansion over base faces reads the base's faces and their links, and a
+triangulation's local h and restriction thetas, each listed once per run in
+one face order.  Local h and carrier patterns are read off the carrier index.
 The theta of a restriction is kept once per triangulation and base face, and
 shared by carrier pattern: restrictions with equal face counts and equal
 largest faces, their vertices named by carrier and rank, are isomorphic once
@@ -161,8 +163,9 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
 # ------------------------------------------------------------ memoized facts
 
 # The memo of one run_suite, scan_reports or ball_basics_reports call, keyed
-# by (what, key) where key is built from facet label sets; None outside such a
-# call, so a direct call of the functions below computes afresh.
+# by (what, key) where key is built from facet label sets, with the label
+# table where ids matter; None outside such a call, so a direct call of the
+# functions below computes afresh.
 _RUN_CACHE: dict | None = None
 
 
@@ -317,12 +320,31 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
 _INNER_KINDS = ("identity", "stellar", "esd2")
 
 
+def _base_faces(c: SimplicialComplex) -> list[Face]:
+    """The faces of c in _sorted_faces order, once per run.  They are ids,
+    which may differ between equal complexes, so the keys aligned with them
+    hold c's label table."""
+    return _cached("faces", (c.table, _key(c)), lambda: _sorted_faces(c))
+
+
+def _base_links(c: SimplicialComplex) -> list[SimplicialComplex]:
+    """The link of each face of _base_faces(c), once per run."""
+    return _cached("links", (c.table, _key(c)),
+                   lambda: [c._link_ids(f) for f in _base_faces(c)])
+
+
+def _at_faces(at: Callable, tri: Triangulation) -> list[IntPoly]:
+    """at(tri, face) for each face of _base_faces(tri.base), once per run; at
+    is _local_h_at or _restriction_theta."""
+    return _cached("at faces", (at, tri, tri.base.table),
+                   lambda: [at(tri, f) for f in _base_faces(tri.base)])
+
+
 def _restriction_theta(tri: Triangulation, face: Face) -> IntPoly:
     """theta of the restriction of tri to a base face (ids), certified a ball
     on the first restriction of its carrier pattern in the run."""
-    return _cached("restriction", (tri, frozenset(tri.base.labels_of(face))),
-                   lambda: _cached("pattern", _carrier_pattern(tri, face),
-                                   lambda: theta_verified(tri.restriction(face).total)))
+    return _cached("pattern", _carrier_pattern(tri, face),
+                   lambda: theta_verified(tri.restriction(face).total))
 
 
 def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
@@ -358,8 +380,8 @@ def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
     """
 
     def compute() -> ThetaClass:
-        faces = [f for f in _sorted_faces(tri.base) if f]
-        return _theta_class_of((_restriction_theta(tri, f), len(f)) for f in faces)
+        return _theta_class_of((t, len(f)) for f, t in zip(
+            _base_faces(tri.base), _at_faces(_restriction_theta, tri)) if f)
 
     return _cached("flags", tri, compute)
 
@@ -378,8 +400,8 @@ def verify_locality(tri: Triangulation, instance: str = "") -> VerificationRepor
         raise PreconditionError("the locality identity needs a pure base")
     lhs = _h(tri.total)
     rhs = IntPoly.zero()
-    for face in _sorted_faces(base):
-        rhs = rhs + _local_h_at(tri, face) * _h(base._link_ids(face))
+    for link, ell in zip(_base_links(base), _at_faces(_local_h_at, tri)):
+        rhs = rhs + ell * _h(link)
     return VerificationReport(
         "Thm2.1", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -393,8 +415,8 @@ def verify_theta_formula(tri: Triangulation, instance: str = "") -> Verification
         raise PreconditionError("the theta formula needs a pure base")
     lhs = _h(tri.total)
     rhs = IntPoly.zero()
-    for face in _sorted_faces(base):
-        rhs = rhs + _restriction_theta(tri, face) * _sd_h(base._link_ids(face))
+    for link, t in zip(_base_links(base), _at_faces(_restriction_theta, tri)):
+        rhs = rhs + t * _sd_h(link)
     return VerificationReport(
         "Eq3.3", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -409,9 +431,8 @@ def verify_kms(tri: Triangulation, instance: str = "") -> VerificationReport:
     nverts = len(base.vertices)
     lhs = local_h(tri)
     rhs = IntPoly.zero()
-    for face in _sorted_faces(base):
-        d = derangement_poly(nverts - len(face))
-        rhs = rhs + _restriction_theta(tri, face) * d
+    for face, t in zip(_base_faces(base), _at_faces(_restriction_theta, tri)):
+        rhs = rhs + t * derangement_poly(nverts - len(face))
     return VerificationReport(
         "Eq3.4", instance, lhs.text(), rhs.text(), lhs == rhs
     )
@@ -577,15 +598,15 @@ def _monotone_proof_identities(
 
     via_local = theta_verified(ball)
     via_theta = _sd_theta(ball)
-    for face in _sorted_faces(ball):
-        link = ball._link_ids(face)
+    for face, link, ell, t in zip(_base_faces(ball), _base_links(ball),
+                                  _at_faces(_local_h_at, tri),
+                                  _at_faces(_restriction_theta, tri)):
         if face in interior:
-            via_local = via_local + _local_h_at(tri, face) * _h(link)
-            via_theta = via_theta + (
-                _restriction_theta(tri, face) * _sd_h(link))
+            via_local = via_local + ell * _h(link)
+            via_theta = via_theta + t * _sd_h(link)
         elif face:
-            via_local = via_local + _local_h_at(tri, face) * theta_verified(link)
-            via_theta = via_theta + _restriction_theta(tri, face) * _sd_theta(link)
+            via_local = via_local + ell * theta_verified(link)
+            via_theta = via_theta + t * _sd_theta(link)
     return [
         VerificationReport(
             "Thm4.1proof", instance, lhs.text(), via_local.text(),

@@ -16,8 +16,11 @@ harness reads the largest faces of restrictions from it.
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
 once, the total complex is built on a label table validated once, and a
-private constructor takes the masks without re-checking carrier keys.  The
-public constructor and the file parser keep every check.
+private constructor takes the masks, without re-checking carrier keys, and
+validates the result.  antiprism and edgewise are defined by a pairwise
+relation on their vertices and list its maximal sets in closed form (ordered
+set partitions, Freudenthal walks).  The public constructor and the file
+parser keep every check.
 """
 
 from __future__ import annotations
@@ -368,64 +371,35 @@ def barycentric(complex_: SimplicialComplex) -> Triangulation:
         lambda m: "{" + ",".join(_mask_labels(complex_, m)) + "}", lambda m: m)
 
 
-def _maximal_cliques(nodes: list, adjacency: dict) -> list[frozenset]:
-    """Bron-Kerbosch with pivoting; adjacency maps node -> set of neighbours."""
-    cliques: list[frozenset] = []
-
-    def expand(r: set, p: set, x: set) -> None:
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: len(adjacency[u] & p))
-        for v in list(p - adjacency[pivot]):
-            expand(r | {v}, p & adjacency[v], x & adjacency[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(nodes), set())
-    return cliques
-
-
 def antiprism(complex_: SimplicialComplex) -> Triangulation:
     """The antiprism triangulation.
 
     Vertices are pointed faces (F, v) with v in F; a set of them is a face
     when the F's form a chain and, for F properly inside G, the point of G
-    lies outside F.  Facets are collected per base facet as the maximal
-    cliques of that pairwise relation.
+    lies outside F.  The facets, the maximal such sets, are listed in closed
+    form: each ordered set partition B_1, ..., B_k of a base facet gives the
+    facet of the (B_1 u ... u B_i, v) with v in B_i.
     """
     if complex_.is_void or complex_.is_empty:
         return identity(complex_)
 
-    def node_label(node: tuple[frozenset[int], int]) -> str:
-        fset, point = node
-        return ("({" + ",".join(_mask_labels(complex_, _mask(fset))) + "},"
-                + complex_.table.label(point) + ")")
+    def facets(rest: int, union: int, nodes: tuple) -> Iterable[tuple]:
+        # nodes holds the blocks so far, which cover union; rest is split next
+        if not rest:
+            yield nodes
+        block = rest
+        while block:
+            grown = union | block
+            yield from facets(rest ^ block, grown,
+                              nodes + tuple((grown, v) for v in _ids(block)))
+            block = (block - 1) & rest
 
-    def compatible(a: tuple[frozenset[int], int], b: tuple[frozenset[int], int]) -> bool:
-        fa, va = a
-        fb, vb = b
-        if fa == fb:
-            return True
-        if fa < fb:
-            return vb not in fa
-        if fb < fa:
-            return va not in fb
-        return False
-
-    cliques: list[frozenset] = []
-    for facet in complex_.facets:
-        nodes = [
-            (frozenset(sub), v)
-            for k in range(1, len(facet) + 1)
-            for sub in itertools.combinations(facet, k)
-            for v in sub
-        ]
-        adjacency = {
-            n: {m for m in nodes if m != n and compatible(n, m)} for n in nodes
-        }
-        cliques.extend(_maximal_cliques(nodes, adjacency))
-    return _subdivision(complex_, cliques, node_label, lambda node: _mask(node[0]))
+    return _subdivision(
+        complex_,
+        [f for facet in complex_.facets for f in facets(_mask(facet), 0, ())],
+        lambda node: ("({" + ",".join(_mask_labels(complex_, node[0])) + "},"
+                      + complex_.table.label(node[1]) + ")"),
+        lambda node: node[0])
 
 
 def stellar(
@@ -460,7 +434,13 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
     support in a face.  Two weightings are compatible when the difference of
     their partial-sum vectors, taken in the sorted order of the base's vertex
     labels, has entries all in {0,1} or all in {0,-1}; so equal bases give
-    equal subdivisions, whatever their id order.
+    equal subdivisions, whatever their id order.  The facets over a base
+    facet, the maximal compatible sets of the weightings supported in it, are
+    listed in closed form as Freudenthal walks: with the facet's vertices
+    w_0, ..., w_d in that order, a weighting is its vector z of partial sums
+    at w_0, ..., w_(d-1), with 0 <= z_0 <= ... <= z_(d-1) <= r, and a facet
+    starts at one such z and adds the d unit vectors in some order, keeping z
+    monotone at every step.
     """
     if int(r) != r or r < 1:
         raise PreconditionError(f"edgewise subdivision needs an integer r >= 1, got {r}")
@@ -469,42 +449,30 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
         return identity(complex_)
     order = sorted(complex_.vertices, key=complex_.table.label)
     pos = {v: i for i, v in enumerate(order)}
-    m = len(order)
 
-    def node_label(u: tuple[int, ...]) -> str:
-        return "+".join(
-            f"{complex_.table.label(order[i])}:{u[i]}" for i in range(m) if u[i]
-        )
+    def walks(z: tuple[int, ...], free: tuple[int, ...]) -> Iterable[tuple]:
+        # z ends with the fixed total r; step j keeps z monotone if z_j < z_(j+1)
+        if not free:
+            yield (z,)
+        for j in free:
+            if z[j] < z[j + 1]:
+                step = z[:j] + (z[j] + 1,) + z[j + 1:]
+                for walk in walks(step, tuple(i for i in free if i != j)):
+                    yield (z,) + walk
 
-    def iota(u: tuple[int, ...]) -> tuple[int, ...]:
-        acc = 0
-        out = []
-        for value in u:
-            acc += value
-            out.append(acc)
-        return tuple(out)
-
-    def compatible(iu: tuple[int, ...], iw: tuple[int, ...]) -> bool:
-        diff = [a - b for a, b in zip(iu, iw)]
-        return all(d in (0, 1) for d in diff) or all(d in (0, -1) for d in diff)
-
-    cliques: list[frozenset] = []
+    facets = []
     for facet in complex_.facets:
-        slots = sorted(pos[v] for v in facet)
-        nodes: list[tuple[int, ...]] = []
-        for combo in itertools.combinations_with_replacement(slots, r):
-            u = [0] * m
-            for i in combo:
-                u[i] += 1
-            nodes.append(tuple(u))
-        iotas = {u: iota(u) for u in nodes}
-        adjacency = {
-            u: {w for w in nodes if w != u and compatible(iotas[u], iotas[w])}
-            for u in nodes
-        }
-        cliques.extend(_maximal_cliques(nodes, adjacency))
-    return _subdivision(complex_, cliques, node_label,
-                        lambda u: _mask(order[i] for i in range(m) if u[i]))
+        slots, d = sorted(pos[v] for v in facet), len(facet) - 1
+        for start in itertools.combinations_with_replacement(range(r + 1), d):
+            for walk in walks(start + (r,), tuple(range(d))):
+                # a node is the weighting, as (position, weight) pairs
+                facets.append([
+                    tuple((slot, b - a) for slot, a, b in zip(slots, (0,) + z, z) if b > a)
+                    for z in walk])
+    return _subdivision(
+        complex_, facets,
+        lambda node: "+".join(f"{complex_.table.label(order[p])}:{w}" for p, w in node),
+        lambda node: _mask(order[p] for p, _ in node))
 
 
 def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:

@@ -13,6 +13,7 @@ from thetalab import (
     simplex,
     write_facet_file,
 )
+from thetalab import cli
 from thetalab.cli import main
 
 
@@ -141,6 +142,32 @@ def test_subdivide_bad_kind(tmp_path, capsys, kind):
     rc = main(["subdivide", src, "--kind", kind, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", ["99999999999", "3000", "317"])
+def test_subdivide_refuses_a_huge_edgewise_parameter(tmp_path, capsys, r):
+    # a triangle gets r^2 facets: 317^2 is the first square over the cap
+    src = _facet_file(tmp_path, simplex("abc"))
+    rc = main(["subdivide", src, "--kind", f"edgewise:{r}",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"more than {cli.EDGEWISE_FACET_CAP} facets" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_edgewise_cap_sums_over_base_facets(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "EDGEWISE_FACET_CAP", 9)
+    triangle = _facet_file(tmp_path, simplex("abc"))
+    mixed = _facet_file(tmp_path, SimplicialComplex.from_facets(["abc", "cd"]),
+                        "mixed.facets")
+    out = str(tmp_path / "o")
+    assert main(["subdivide", triangle, "--kind", "edgewise:3", "--out", out]) == 0
+    assert main(["subdivide", triangle, "--kind", "edgewise:4", "--out", out]) == 2
+    # 3^2 facets over abc and 3 over cd
+    assert main(["subdivide", mixed, "--kind", "edgewise:3", "--out", out]) == 2
+    assert main(["subdivide", mixed, "--kind", "edgewise:2", "--out", out]) == 0
 
 
 def test_subdivide_stellar_needs_actual_face(tmp_path, capsys):

@@ -458,6 +458,52 @@ def test_run_suite_takes_each_h_once(monkeypatch):
     assert calls and len(set(calls)) == len(calls)
 
 
+def test_run_suite_builds_each_link_and_local_h_once(monkeypatch):
+    # the base-face records: the harness builds each base face's link once
+    # and takes each local h of a triangulation at a base face once
+    links, local_hs = [], []
+    link_ids, local_h_at = SimplicialComplex._link_ids, harness._local_h_at
+
+    def counted_link(self, face):
+        if sys._getframe(1).f_globals["__name__"] == harness.__name__:
+            links.append((self.facet_labelsets(), frozenset(self.labels_of(face))))
+        return link_ids(self, face)
+
+    def counted_local_h(tri, face):
+        local_hs.append((tri, frozenset(tri.base.labels_of(face))))
+        return local_h_at(tri, face)
+
+    monkeypatch.setattr(SimplicialComplex, "_link_ids", counted_link)
+    monkeypatch.setattr(harness, "_local_h_at", counted_local_h)
+    run_suite("all", seed=0, max_dim=2, samples=1)
+    for calls in (links, local_hs):
+        repeated = [call for call, n in Counter(calls).items() if n > 1]
+        assert calls and not repeated, repeated[:3]
+
+
+def test_base_face_records_keep_id_orders_apart():
+    # one base numbered two ways: faces are ids, so a run that checks both
+    # must report as separate runs do
+    facets = [("a", "b", "c"), ("a", "c", "d"), ("c", "d", "e"), ("d", "e", "f")]
+    labels = list("fedcba")
+    forward = SimplicialComplex.from_facets(facets)
+    backward = SimplicialComplex.from_facets(
+        [[labels.index(v) for v in f] for f in facets], labels=labels)
+    assert forward == backward and forward.table != backward.table
+    tris = [maker(base) for base in (forward, backward) for _, maker in subdivision_kinds()]
+
+    def checks(tri):
+        return (verify_locality(tri), verify_theta_formula(tri),
+                triangulation_theta_flags(tri))
+
+    separate = []
+    for tri in tris:
+        with harness._run_cache():
+            separate.append(checks(tri))
+    with harness._run_cache():
+        assert [checks(tri) for tri in tris] == separate
+
+
 def test_run_cache_lives_only_inside_a_run(monkeypatch):
     assert harness._RUN_CACHE is None
     verified_boundary(simplex("abc"))

@@ -6,6 +6,7 @@ which pin the combinatorics down independently of the carrier bookkeeping.
 """
 
 import hashlib
+import itertools
 import math
 import re
 
@@ -160,6 +161,82 @@ def test_subdividers_fix_degenerate_inputs():
     for maker in (barycentric, antiprism, lambda c: edgewise(c, 2)):
         assert maker(EMPTY).total.is_empty
         assert maker(VOID).total.is_void
+
+
+# ------------------------------------- second route: the pairwise relations
+
+
+def _maximal_cliques(nodes, compatible):
+    """Bron-Kerbosch with pivoting over a symmetric pairwise relation."""
+    adjacency = {n: {m for m in nodes if m != n and compatible(n, m)} for n in nodes}
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda u: len(adjacency[u] & p))
+        for v in list(p - adjacency[pivot]):
+            expand(r | {v}, p & adjacency[v], x & adjacency[v])
+            p.remove(v)
+            x.add(v)
+
+    expand(set(), set(nodes), set())
+    return cliques
+
+
+def _clique_facets(base, nodes_of, compatible, label):
+    """Facet label sets from the relation: over each base facet, the maximal
+    cliques of its nodes, keeping those in no other base facet's clique."""
+    cliques = {
+        frozenset(map(label, clique))
+        for facet in base.facets
+        for clique in _maximal_cliques(nodes_of(sorted(base.labels_of(facet))), compatible)
+    }
+    return {c for c in cliques if not any(c < other for other in cliques)}
+
+
+def _antiprism_by_cliques(base):
+    def nodes_of(labels):
+        return [(frozenset(sub), v) for k in range(1, len(labels) + 1)
+                for sub in itertools.combinations(labels, k) for v in sub]
+
+    def compatible(a, b):
+        (fa, va), (fb, vb) = a, b
+        return fa == fb or (fa < fb and vb not in fa) or (fb < fa and va not in fb)
+
+    return _clique_facets(base, nodes_of, compatible,
+                          lambda n: "({" + ",".join(sorted(n[0])) + "}," + n[1] + ")")
+
+
+def _edgewise_by_cliques(base, r):
+    order = sorted(base.vertex_labels)
+
+    def nodes_of(labels):
+        return [tuple(combo.count(v) for v in order)
+                for combo in itertools.combinations_with_replacement(labels, r)]
+
+    def compatible(u, w):
+        diff = [a - b for a, b in zip(itertools.accumulate(u), itertools.accumulate(w))]
+        return set(diff) <= {0, 1} or set(diff) <= {0, -1}
+
+    return _clique_facets(base, nodes_of, compatible,
+                          lambda u: "+".join(f"{v}:{k}" for v, k in zip(order, u) if k))
+
+
+_CLIQUE_BASES = (
+    [(name, c) for name, c in corpus() if c.dim <= 3]
+    + [(f"{n}-vertex-simplex", simplex([f"v{i}" for i in range(n)])) for n in range(1, 6)]
+    + [("abc+cd", SimplicialComplex.from_facets(["abc", "cd"]))]
+)
+
+
+@pytest.mark.parametrize("name,base", _CLIQUE_BASES, ids=[n for n, _ in _CLIQUE_BASES])
+def test_closed_form_builders_list_the_maximal_cliques(name, base):
+    assert antiprism(base).total.facet_labelsets() == _antiprism_by_cliques(base)
+    for r in (2, 3, 4):
+        facets = edgewise(base, r).total.facet_labelsets()
+        assert facets == _edgewise_by_cliques(base, r), r
 
 
 # ------------------------------------------------------------ triangulation
