@@ -8,21 +8,26 @@ ones, whose failure is a finding to record (conjecture, evidence).
 Identity ids such as "Thm2.1" or "Eq3.4" are stable wire-format strings used
 to aggregate reports; consumers should treat them as opaque labels.
 
-Every ball hypothesis is certified by is_homology_ball, whatever the size.
-The run memo is the only cache: within one run_suite or scan_reports call,
-or one direct call of a check that opens it, results are memoized by facet
-label sets, and the memo lasts that one call, so no run sees another's facts.
+Every ball hypothesis is certified, whatever the size: by is_homology_ball,
+or, for the total of a subdivision the run built over a certified ball that
+is not a simplex, by inheritance from the base and the restrictions (see
+_inherited_boundary).  The run memo is the only cache: within one run_suite
+or scan_reports call, or one direct call of a check that opens it, results
+are memoized by facet label sets, and the memo lasts that one call, so no
+run sees another's facts.
 It holds the triangulations as well: each kind of subdivision of a complex is
 built once per run, and each complex's h-polynomial is computed once.  Every
 expansion over base faces reads the base's faces and their links, and a
 triangulation's local h and restriction thetas, each listed once per run in
-one face order.  Local h and carrier patterns are read off the carrier index.
-The theta of a restriction is kept once per triangulation and base face, and
-shared by carrier pattern: restrictions with equal face counts and equal
-largest faces, their vertices named by carrier and rank, are isomorphic once
-one of them is a certified ball, so each pattern's theta is certified once per
-run, on the first restriction that has it.  theta_class builds and certifies
-every restriction and is the reference route.
+one face order, and the local h of each triangulation of a simplex once per
+run.  Local h and carrier patterns are read off the carrier index.  The
+certificate of a restriction, its theta and whether its boundary is carried
+in the base face's boundary, is kept once per triangulation and base face,
+and shared by carrier pattern: restrictions with equal face counts and equal
+largest faces, their vertices named by carrier and rank, are isomorphic,
+carriers kept, once one of them is a certified ball, so each pattern is
+certified once per run, on the first restriction that has it.  theta_class
+builds and certifies every restriction and is the reference route.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ from .polynomials import (
 from .subdivisions import (
     ThetaClass,
     Triangulation,
+    _mask,
     _theta_class_of,
     antiprism,
     barycentric,
@@ -201,10 +207,81 @@ def _h(c: SimplicialComplex) -> IntPoly:
 
 
 def verified_boundary(c: SimplicialComplex) -> SimplicialComplex | None:
-    """Boundary of c when c is a homology ball, certified by is_homology_ball."""
+    """Boundary of c when c is a homology ball, else None.
+
+    A total that _built made in this run, with more vertices than its base,
+    inherits its certificate from the base and the restrictions when
+    _inherited_boundary grants it; every other complex, and a total whose
+    certificate is refused, is certified by is_homology_ball.
+    """
     if c.is_void:
         raise PreconditionError("the void complex is not classifiable")
-    return _cached("ball", _key(c), lambda: is_homology_ball(c))
+
+    def compute() -> SimplicialComplex | None:
+        tri = (_RUN_CACHE or {}).get(("made by", _key(c)))
+        inherited = None if tri is None else _inherited_boundary(tri)
+        return inherited if inherited is not None else is_homology_ball(c)
+
+    return _cached("ball", _key(c), compute)
+
+
+def _inherited_boundary(tri: Triangulation) -> SimplicialComplex | None:
+    """The boundary of tri.total, inherited from certified pieces: the
+    complex generated by the faces carried in the boundary ridges of the
+    base, on tri.total's ids.  None (refused) unless the base is a certified
+    ball that is not a simplex and every restriction is a certified ball
+    whose boundary is carried in the boundary of its base face.
+
+    Lemma.  Let Delta be a homology d-ball over Q and Gamma a triangulation
+    of it that passes validate (every one _built makes does, identity aside,
+    which adds no vertex), and let every restriction Gamma_E to a face E of
+    Delta be a homology ball with boundary dGamma_E = Gamma_dE, the faces of
+    Gamma_E carried in proper faces of E.  Then Gamma is a homology d-ball
+    and dGamma = Gamma_dDelta.
+
+    Proof.  Fix G in Gamma with carrier sigma.  G is carried in no proper
+    face of sigma, so it is not on dGamma_sigma = Gamma_dsigma, and
+    S = lk_{Gamma_sigma}(G) is a homology sphere of dimension
+    s = |sigma| - |G| - 1.  For a subcomplex K of lk_Delta(sigma) let X_K be
+    the union over rho in K, the empty face included, of the pieces
+    P_rho = lk_{Gamma_{sigma u rho}}(G); P_empty = S, and since the carrier
+    of a face G u H is sigma u rho for some rho in lk_Delta(sigma),
+    X_{lk_Delta(sigma)} = lk_Gamma(G).  For rho nonempty, G lies in
+    Gamma_sigma, inside Gamma_d(sigma u rho) = dGamma_{sigma u rho}, so
+    P_rho, the link of a boundary face of a ball, is acyclic.  The acyclic
+    carrier theorem (Munkres, Elements of Algebraic Topology, section 13),
+    relative to S, then gives a chain equivalence X_K ~ S * K: carry a face
+    of S * K whose part in K is rho != empty to P_rho, and a face of X_K
+    carried in sigma u rho, rho != empty, to the cone S * rho-bar; on S both
+    carriers and both chain maps are the identity, and both composites are
+    carried by acyclic carriers that carry the identity too, so they are
+    homotopic to it.  So H~_i(lk_Gamma G) = H~_{i - s - 1}(lk_Delta sigma):
+    the link of G has the homology of a (d - |G|)-sphere when sigma is
+    interior to Delta, and none when sigma lies on dDelta, and G = empty
+    gives H~(Gamma) = H~(Delta) = 0.  Every face lies in some Gamma_F with F
+    a facet of Delta, pure of dimension d, so Gamma is pure; a ridge's link
+    is then two points or one, so it lies in at most two facets, and in one
+    exactly when its carrier lies on dDelta: dGamma = Gamma_dDelta.  The same
+    argument on the homology sphere dDelta, whose restrictions are those of
+    Gamma, gives dGamma sphere links throughout and the homology of dDelta,
+    so dGamma is a homology sphere.  That is all is_homology_ball checks.
+
+    The recursion ends: the base has fewer vertices than the total (_built
+    records only such totals), and each restriction has no more vertices
+    and fewer facets, as it misses the facets of Gamma carried in the other
+    facets of Delta and a facet of Gamma_F holds at most one of Gamma_E's.
+    """
+    base = tri.base
+    if len(base.facets) == 1:
+        return None
+    bd = verified_boundary(base)
+    if bd is None or not all(ball is not None and ball[1]
+                             for ball in _at_faces(_restriction_ball, tri)):
+        return None
+    index = tri._carrier_index()
+    return SimplicialComplex._on_ids(tri.total.table, [
+        f for r in bd.facets
+        for f in index[_mask(base.face(bd.labels_of(r)))][len(r)]])
 
 
 def _verified_sphere(c: SimplicialComplex) -> bool:
@@ -308,10 +385,15 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
 
     def compute() -> Triangulation:
         outer, _, inner = kind.partition(".")
-        if not inner:
-            return dict(subdivision_kinds())[kind](c)
-        tri = _built(inner, c)
-        return compose(_built(outer, tri.total), tri)
+        if inner:
+            tri = _built(inner, c)
+            tri = compose(_built(outer, tri.total), tri)
+        else:
+            tri = dict(subdivision_kinds())[kind](c)
+        if len(tri.total.vertices) > len(c.vertices):
+            # the first triangulation recorded for a total certifies it
+            _cached("made by", _key(tri.total), lambda: tri)
+        return tri
 
     return _cached("tri", (kind, _key(c)), compute)
 
@@ -333,18 +415,46 @@ def _base_links(c: SimplicialComplex) -> list[SimplicialComplex]:
                    lambda: [c._link_ids(f) for f in _base_faces(c)])
 
 
-def _at_faces(at: Callable, tri: Triangulation) -> list[IntPoly]:
+def _at_faces(at: Callable, tri: Triangulation) -> list:
     """at(tri, face) for each face of _base_faces(tri.base), once per run; at
-    is _local_h_at or _restriction_theta."""
+    is _local_h_at or _restriction_ball."""
     return _cached("at faces", (at, tri, tri.base.table),
                    lambda: [at(tri, f) for f in _base_faces(tri.base)])
 
 
-def _restriction_theta(tri: Triangulation, face: Face) -> IntPoly:
-    """theta of the restriction of tri to a base face (ids), certified a ball
-    on the first restriction of its carrier pattern in the run."""
-    return _cached("pattern", _carrier_pattern(tri, face),
-                   lambda: theta_verified(tri.restriction(face).total))
+def _restriction_ball(tri: Triangulation, face: Face) -> tuple[IntPoly, bool] | None:
+    """The certificate of the restriction G of tri to a base face E (ids):
+    None when G is not a homology ball, else its theta and whether its
+    boundary is G_dE, generated by its faces of size |E| - 1 carried in
+    proper faces of E.  Taken on the first restriction of its carrier
+    pattern in the run."""
+
+    def compute() -> tuple[IntPoly, bool] | None:
+        sub = tri.restriction(face)
+        bd = verified_boundary(sub.total)
+        if bd is None:
+            return None
+        full = (1 << len(face)) - 1  # E in the restriction's base ids
+        carried = [f for f in sub.total.faces_of_dim(len(face) - 2)
+                   if sub._carrier_mask(f) != full]
+        return (theta_verified(sub.total),
+                bd == SimplicialComplex._on_ids(sub.total.table, carried))
+
+    return _cached("pattern", _carrier_pattern(tri, face), compute)
+
+
+def _restriction_thetas(tri: Triangulation) -> list[IntPoly]:
+    """theta of the restriction of tri to each face of _base_faces(tri.base);
+    raises unless every one is a certified ball."""
+    balls = _at_faces(_restriction_ball, tri)
+    if None in balls:
+        raise PreconditionError("not a verified homology ball")
+    return [t for t, _ in balls]
+
+
+def _local_h(tri: Triangulation) -> IntPoly:
+    """local_h of a triangulation of a simplex, once per run."""
+    return _cached("local h", tri, lambda: local_h(tri))
 
 
 def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
@@ -354,7 +464,8 @@ def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
     its rank among the vertices with that carrier.  The pattern is G's face
     counts by size and its named largest faces.  A ball G is the complex of
     its largest faces, so a G' with the same pattern holds a renamed copy of
-    G with as many faces: it is G renamed, whether or not tri was validated.
+    G with as many faces: it is G renamed, whether or not tri was validated,
+    and the renaming keeps carriers, so G' has G's certificate.
     """
     index = tri._carrier_index()
     subs = {0: 0}  # each submask of E, as base ids and as E's positions
@@ -373,7 +484,7 @@ def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
 
 @_run_cache()
 def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
-    """The ThetaClass of tri, its restriction thetas from _restriction_theta.
+    """The ThetaClass of tri, its restriction thetas from _restriction_thetas.
 
     theta_class computes the same class by building and certifying every
     restriction, as the reference.
@@ -381,7 +492,7 @@ def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
 
     def compute() -> ThetaClass:
         return _theta_class_of((t, len(f)) for f, t in zip(
-            _base_faces(tri.base), _at_faces(_restriction_theta, tri)) if f)
+            _base_faces(tri.base), _restriction_thetas(tri)) if f)
 
     return _cached("flags", tri, compute)
 
@@ -415,7 +526,7 @@ def verify_theta_formula(tri: Triangulation, instance: str = "") -> Verification
         raise PreconditionError("the theta formula needs a pure base")
     lhs = _h(tri.total)
     rhs = IntPoly.zero()
-    for link, t in zip(_base_links(base), _at_faces(_restriction_theta, tri)):
+    for link, t in zip(_base_links(base), _restriction_thetas(tri)):
         rhs = rhs + t * _sd_h(link)
     return VerificationReport(
         "Eq3.3", instance, lhs.text(), rhs.text(), lhs == rhs
@@ -429,9 +540,9 @@ def verify_kms(tri: Triangulation, instance: str = "") -> VerificationReport:
     if not base.is_empty and len(base.facets) != 1:
         raise PreconditionError("the convolution needs a triangulated simplex")
     nverts = len(base.vertices)
-    lhs = local_h(tri)
+    lhs = _local_h(tri)
     rhs = IntPoly.zero()
-    for face, t in zip(_base_faces(base), _at_faces(_restriction_theta, tri)):
+    for face, t in zip(_base_faces(base), _restriction_thetas(tri)):
         rhs = rhs + t * derangement_poly(nverts - len(face))
     return VerificationReport(
         "Eq3.4", instance, lhs.text(), rhs.text(), lhs == rhs
@@ -600,7 +711,7 @@ def _monotone_proof_identities(
     via_theta = _sd_theta(ball)
     for face, link, ell, t in zip(_base_faces(ball), _base_links(ball),
                                   _at_faces(_local_h_at, tri),
-                                  _at_faces(_restriction_theta, tri)):
+                                  _restriction_thetas(tri)):
         if face in interior:
             via_local = via_local + ell * _h(link)
             via_theta = via_theta + t * _sd_h(link)
@@ -1274,7 +1385,7 @@ def _local_h_corollary_reports(
 ) -> list[VerificationReport]:
     nverts = len(base.vertices)
     flags = triangulation_theta_flags(tri)
-    ell = local_h(tri)
+    ell = _local_h(tri)
     d_n = derangement_poly(nverts)
     out = []
     if flags.positive:
@@ -1307,12 +1418,12 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
         nverts = dim + 1
         for iname in _INNER_KINDS:
             inner = _built(iname, base)
-            ell_sd = local_h(_built(f"sd.{iname}", base))
+            ell_sd = _local_h(_built(f"sd.{iname}", base))
             for oname in ("sd", "antiprism", "esd2"):
                 if oname == "antiprism" and dim >= 3 and iname != "identity":
                     continue
                 inst = f"{oname}({iname}(simplex{dim}))"
-                ell = local_h(_built(f"{oname}.{iname}", base))
+                ell = _local_h(_built(f"{oname}.{iname}", base))
                 flags = triangulation_theta_flags(_built(oname, inner.total))
                 if flags.unimodal:
                     ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
@@ -1515,7 +1626,7 @@ def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
             if dim <= 2 or iname == "identity":
                 onames.append("antiprism")
             for oname in onames:
-                ell = local_h(_built(f"{oname}.{iname}", base))
+                ell = _local_h(_built(f"{oname}.{iname}", base))
                 inst = f"{oname}({iname}(simplex{dim}))"
                 out.append(VerificationReport(
                     "Q6.3", inst, ell.text(), "real-rooted",

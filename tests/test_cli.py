@@ -1,6 +1,7 @@
 """Command line interface, exercised in-process through cli.main."""
 
 import json
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from thetalab import (
 )
 from thetalab import cli
 from thetalab.cli import main
+from thetalab.harness import corpus
 
 
 def _facet_file(tmp_path, complex_, name="input.facets"):
@@ -146,19 +148,41 @@ def test_subdivide_bad_kind(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("r", ["99999999999", "3000", "317"])
 def test_subdivide_refuses_a_huge_edgewise_parameter(tmp_path, capsys, r):
-    # a triangle gets r^2 facets: 317^2 is the first square over the cap
+    # a triangle gets r^2 facets, each of these squares over the cap
     src = _facet_file(tmp_path, simplex("abc"))
     rc = main(["subdivide", src, "--kind", f"edgewise:{r}",
                "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert f"more than {cli.EDGEWISE_FACET_CAP} facets" in err
+    assert f"more than {cli.FACET_CAP} facets" in err
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind", ["sd", "antiprism"])
+def test_subdivide_refuses_a_large_simplex_at_once(tmp_path, capsys, kind):
+    # 8! = 40,320 and Fubini(8) = 545,835 facets: refused before building
+    src = _facet_file(tmp_path, simplex("abcdefgh"))
+    start = time.perf_counter()
+    rc = main(["subdivide", src, "--kind", kind, "--out", str(tmp_path / "o")])
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{kind} would build more than {cli.FACET_CAP} facets" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["sd", "antiprism", "edgewise:2", "edgewise:3", "edgewise:4"])
+def test_facet_counts_match_the_builders(kind):
+    build, facets_over = cli._make_subdivider(kind)
+    bases = [c for _, c in corpus()] + [simplex("abcde"[:n]) for n in range(1, 6)]
+    for base in bases:
+        expected = sum(facets_over(len(f)) for f in base.facets)
+        assert expected == len(build(base).total.facets), base.facets
+
+
 def test_edgewise_cap_sums_over_base_facets(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "EDGEWISE_FACET_CAP", 9)
+    monkeypatch.setattr(cli, "FACET_CAP", 9)
     triangle = _facet_file(tmp_path, simplex("abc"))
     mixed = _facet_file(tmp_path, SimplicialComplex.from_facets(["abc", "cd"]),
                         "mixed.facets")

@@ -18,6 +18,7 @@ from thetalab import (
     example_5_2_ball,
     example_5_4_ball,
     identity,
+    is_homology_ball,
     local_h,
     octahedron,
     path,
@@ -194,7 +195,7 @@ def test_restriction_theta_matches_theta_of_the_restriction():
                 for face in base.faces():
                     if face:
                         expected = theta(tri.restriction(face).total)
-                        assert harness._restriction_theta(tri, face) == expected, (
+                        assert harness._restriction_ball(tri, face) == (expected, True), (
                             kind, name, base.labels_of(face))
 
 
@@ -206,9 +207,10 @@ def test_restriction_theta_certifies_each_carrier_pattern():
     carriers = {("a",): ("a",), ("b",): ("b",), ("x",): ("a", "b")}
     bad = Triangulation(simplex("ab"), total, carriers, validate=False)
     with harness._run_cache():
-        assert harness._restriction_theta(edge, edge.base.facets[0]) == theta(simplex("ab"))
+        assert harness._restriction_ball(edge, edge.base.facets[0]) == (theta(simplex("ab")), True)
+        assert harness._restriction_ball(bad, bad.base.facets[0]) is None
         with pytest.raises(PreconditionError, match="not a verified homology ball"):
-            harness._restriction_theta(bad, bad.base.facets[0])
+            harness._restriction_thetas(bad)
 
 
 def test_run_suite_builds_each_carrier_pattern_once(monkeypatch):
@@ -222,6 +224,66 @@ def test_run_suite_builds_each_carrier_pattern_once(monkeypatch):
     monkeypatch.setattr(Triangulation, "restriction", counted)
     run_suite("all", seed=0, max_dim=2, samples=1)
     assert patterns and len(set(patterns)) == len(patterns)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_inherited_boundary_matches_is_homology_ball(name):
+    # the second route: every total over a certified ball that is not a
+    # simplex inherits a boundary equal, ids and all, to is_homology_ball's
+    base = dict(corpus())[name]
+    with harness._run_cache():
+        inherits = len(base.facets) > 1 and verified_boundary(base) is not None
+        for kind, _ in subdivision_kinds():
+            tri = harness._built(kind, base)
+            inherited = harness._inherited_boundary(tri)
+            assert (inherited is not None) == inherits, kind
+            if inherited is not None:
+                expected = is_homology_ball(tri.total)
+                assert (inherited.table, inherited.facets) == (
+                    expected.table, expected.facets), kind
+                assert verified_boundary(tri.total) == expected, kind
+
+
+def test_run_suite_certifies_no_total_over_a_non_simplex_base(monkeypatch):
+    totals, certified = set(), []
+    built, certify = harness._built, harness.is_homology_ball
+
+    def recorded(kind, c):
+        tri = built(kind, c)
+        if kind != "identity" and len(c.facets) > 1:
+            totals.add(tri.total.facet_labelsets())
+        return tri
+
+    def counted(c, *args):
+        certified.append(c.facet_labelsets())
+        return certify(c, *args)
+
+    monkeypatch.setattr(harness, "_built", recorded)
+    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    run_suite("all", seed=0)
+    assert totals and certified
+    assert not totals.intersection(certified)
+
+
+def test_ear_refuses_the_inherited_certificate(monkeypatch):
+    # the disk {abc, abd} with an ear x over abc, the triangle axb glued to
+    # abc along ab: it passes validate and every restriction is a ball, but
+    # the boundary of the disk over abc has the edges ax and bx, not ab, and
+    # ab lies in three triangles of the total, which is no ball
+    base = SimplicialComplex.from_facets(["abc", "abd"])
+    carriers = {**{(v,): (v,) for v in "abcd"}, ("x",): ("a", "b", "c")}
+    tri = Triangulation(base, SimplicialComplex.from_facets(["abc", "axb", "abd"]),
+                        carriers)
+    kinds = subdivision_kinds() + [("ear", lambda c: tri)]
+    monkeypatch.setattr(harness, "subdivision_kinds", lambda: kinds)
+    with harness._run_cache():
+        assert harness._built("ear", base) is tri
+        balls = harness._at_faces(harness._restriction_ball, tri)
+        assert None not in balls
+        assert harness._restriction_ball(tri, base.face("abc"))[1] is False
+        assert harness._inherited_boundary(tri) is None
+        assert verified_boundary(tri.total) is None
+    assert is_homology_ball(tri.total) is None
 
 
 def _hexagon_cone(carriers: dict[str, str]) -> Triangulation:
@@ -460,9 +522,11 @@ def test_run_suite_takes_each_h_once(monkeypatch):
 
 def test_run_suite_builds_each_link_and_local_h_once(monkeypatch):
     # the base-face records: the harness builds each base face's link once
-    # and takes each local h of a triangulation at a base face once
-    links, local_hs = [], []
+    # and takes each local h of a triangulation at a base face once, and
+    # local_h of each triangulation of a simplex once
+    links, local_hs, local_h_runs = [], [], []
     link_ids, local_h_at = SimplicialComplex._link_ids, harness._local_h_at
+    local_h_run = invariants._local_h_at
 
     def counted_link(self, face):
         if sys._getframe(1).f_globals["__name__"] == harness.__name__:
@@ -473,10 +537,15 @@ def test_run_suite_builds_each_link_and_local_h_once(monkeypatch):
         local_hs.append((tri, frozenset(tri.base.labels_of(face))))
         return local_h_at(tri, face)
 
+    def counted_local_h_run(tri, face):
+        local_h_runs.append((tri, frozenset(tri.base.labels_of(face))))
+        return local_h_run(tri, face)
+
     monkeypatch.setattr(SimplicialComplex, "_link_ids", counted_link)
     monkeypatch.setattr(harness, "_local_h_at", counted_local_h)
+    monkeypatch.setattr(invariants, "_local_h_at", counted_local_h_run)
     run_suite("all", seed=0, max_dim=2, samples=1)
-    for calls in (links, local_hs):
+    for calls in (links, local_hs, local_h_runs):
         repeated = [call for call, n in Counter(calls).items() if n > 1]
         assert calls and not repeated, repeated[:3]
 
