@@ -398,10 +398,6 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
     return _cached("tri", (kind, _key(c)), compute)
 
 
-# the inner triangulations of the twice-subdivided simplexes
-_INNER_KINDS = ("identity", "stellar", "esd2")
-
-
 def _base_faces(c: SimplicialComplex) -> list[Face]:
     """The faces of c in _sorted_faces order, once per run.  They are ids,
     which may differ between equal complexes, so the keys aligned with them
@@ -472,7 +468,7 @@ def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
     for i, b in enumerate(face):
         subs.update({m | 1 << b: r | 1 << i for m, r in list(subs.items())})
     carried = [(subs[m], index[m]) for m in subs if m in index]
-    counts = tri._counts_in(face)
+    counts = [sum(map(len, faces)) for faces in zip(*(by_size for _, by_size in carried))]
     while counts and not counts[-1]:
         counts.pop()
     names = {v: (pos, r) for pos, by_size in carried
@@ -1405,6 +1401,18 @@ def _derangement_reports(max_n: int) -> list[VerificationReport]:
             for n in range(max_n + 1)]
 
 
+def _twice_subdivided(max_dim: int, outer: tuple[str, ...]):
+    """(dim, simplex, inner kind, outer kind) for each twice-subdivided
+    simplex of dimension 1 to max_dim; the antiprism of a stellar or esd2
+    inner subdivision is taken up to dimension 2 only."""
+    for dim in range(1, max_dim + 1):
+        base = simplex([f"v{i}" for i in range(dim + 1)])
+        for iname in ("identity", "stellar", "esd2"):
+            for oname in outer:
+                if oname != "antiprism" or dim <= 2 or iname == "identity":
+                    yield dim, base, iname, oname
+
+
 def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
     """Local h of twice-subdivided simplexes: domination and gamma checks.
 
@@ -1413,33 +1421,27 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
     antiprism of any simplex triangulation.
     """
     out = []
-    for dim in range(1, max_dim + 1):
-        base = simplex([f"v{i}" for i in range(dim + 1)])
+    for dim, base, iname, oname in _twice_subdivided(max_dim, ("sd", "antiprism", "esd2")):
         nverts = dim + 1
-        for iname in _INNER_KINDS:
-            inner = _built(iname, base)
-            ell_sd = _local_h(_built(f"sd.{iname}", base))
-            for oname in ("sd", "antiprism", "esd2"):
-                if oname == "antiprism" and dim >= 3 and iname != "identity":
-                    continue
-                inst = f"{oname}({iname}(simplex{dim}))"
-                ell = _local_h(_built(f"{oname}.{iname}", base))
-                flags = triangulation_theta_flags(_built(oname, inner.total))
-                if flags.unimodal:
-                    ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
-                    out.append(VerificationReport(
-                        "Cor4.4", inst, ell.text(), ell_sd.text(), ok,
-                        kind="theorem", detail="unimodal, dominates sd",
-                    ))
-                if flags.gamma_positive:
-                    ok = is_gamma_positive(ell, nverts) and is_gamma_positive(
-                        ell - ell_sd, nverts)
-                    out.append(VerificationReport(
-                        "Cor4.4-gamma", inst, ell.text(), ell_sd.text(), ok,
-                        kind="theorem",
-                    ))
-                if oname == "antiprism":
-                    out.append(_gamma_report("Cor6.2", inst, ell, nverts))
+        ell_sd = _local_h(_built(f"sd.{iname}", base))
+        inst = f"{oname}({iname}(simplex{dim}))"
+        ell = _local_h(_built(f"{oname}.{iname}", base))
+        flags = triangulation_theta_flags(_built(oname, _built(iname, base).total))
+        if flags.unimodal:
+            ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
+            out.append(VerificationReport(
+                "Cor4.4", inst, ell.text(), ell_sd.text(), ok,
+                kind="theorem", detail="unimodal, dominates sd",
+            ))
+        if flags.gamma_positive:
+            ok = is_gamma_positive(ell, nverts) and is_gamma_positive(
+                ell - ell_sd, nverts)
+            out.append(VerificationReport(
+                "Cor4.4-gamma", inst, ell.text(), ell_sd.text(), ok,
+                kind="theorem",
+            ))
+        if oname == "antiprism":
+            out.append(_gamma_report("Cor6.2", inst, ell, nverts))
     return out
 
 
@@ -1619,19 +1621,13 @@ def _theta_zero_reports(seed: int, max_dim: int, samples: int) -> list[Verificat
 def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
     """Real-rootedness scan of local h under repeated subdivisions."""
     out = []
-    for dim in range(1, max_dim + 1):
-        base = simplex([f"v{i}" for i in range(dim + 1)])
-        for iname in _INNER_KINDS:
-            onames = ["sd"]
-            if dim <= 2 or iname == "identity":
-                onames.append("antiprism")
-            for oname in onames:
-                ell = _local_h(_built(f"{oname}.{iname}", base))
-                inst = f"{oname}({iname}(simplex{dim}))"
-                out.append(VerificationReport(
-                    "Q6.3", inst, ell.text(), "real-rooted",
-                    is_real_rooted(ell), kind="evidence",
-                ))
+    for dim, base, iname, oname in _twice_subdivided(max_dim, ("sd", "antiprism")):
+        ell = _local_h(_built(f"{oname}.{iname}", base))
+        inst = f"{oname}({iname}(simplex{dim}))"
+        out.append(VerificationReport(
+            "Q6.3", inst, ell.text(), "real-rooted",
+            is_real_rooted(ell), kind="evidence",
+        ))
     return out
 
 

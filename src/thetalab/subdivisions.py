@@ -11,7 +11,7 @@ carrier, and a higher face may be given one only if it equals the union.
 Each Triangulation caches one carrier index: for every carrier mask, the
 faces carried there, listed by size.  validate checks it mask by mask, local
 h of any restriction is a sum over its list lengths (see invariants), and the
-harness reads the largest faces of restrictions from it.
+harness reads the face counts and largest faces of restrictions from it.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -165,15 +165,6 @@ class Triangulation:
             self._index = index
         return self._index
 
-    def _counts_in(self, face: Face) -> list[int]:
-        """Face counts by size of the restriction to a base face (ids): the
-        faces carried in any part of it, the empty face included."""
-        index, subs = self._carrier_index(), [0]
-        for v in face:
-            subs += [sub | 1 << v for sub in subs]
-        within = [index[sub] for sub in subs if sub in index]
-        return [sum(map(len, faces)) for faces in zip(*within)]
-
     def carrier_of(self, face) -> Face:
         """Carrier of a total face, as a face (id tuple) of the base."""
         kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
@@ -199,9 +190,11 @@ class Triangulation:
         Besides bookkeeping (carriers are base faces, only the empty face has
         the empty carrier), this checks that the restriction to every base
         face is pure of the right dimension and has the Euler characteristic
-        of a ball, with vertices restricting to single points.  Carriers and
-        dimensions are checked once per carrier mask, purity face by face,
-        and Euler characteristics and full dimension from face counts.
+        of a ball, with vertices restricting to single points.  A first pass
+        over the carrier index checks carriers and lists each mask's faces
+        one vertex smaller than a face carried there; a second checks
+        dimensions and purity mask by mask, then full dimension and the Euler
+        characteristic of each base face, smallest first, from its own mask.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
@@ -214,9 +207,8 @@ class Triangulation:
             )
         base_masks = {_mask(f) for f in base.faces()}
         index = self._carrier_index()
-        # carriers of the faces one vertex larger: a face of a restriction is
-        # maximal there exactly when none of these lies inside the base face
-        up: dict[Face, list[int]] = {}
+        # the faces one vertex smaller than a face carried at each mask
+        below: dict[int, set[Face]] = {}
         for mask, lists in index.items():
             if mask not in base_masks:
                 face = next(itertools.chain.from_iterable(lists))
@@ -224,9 +216,8 @@ class Triangulation:
                     f"carrier {_mask_labels(base, mask)} of"
                     f" {sorted(total.labels_of(face))} is not a face of the base"
                 )
-            for face in itertools.chain.from_iterable(lists[2:]):
-                for sub in itertools.combinations(face, len(face) - 1):
-                    up.setdefault(sub, []).append(mask)
+            below[mask] = {sub for face in itertools.chain.from_iterable(lists[2:])
+                           for sub in itertools.combinations(face, len(face) - 1)}
         # the base faces one vertex larger than each base face
         wider: dict[int, list[int]] = {}
         for fmask in base_masks:
@@ -237,9 +228,11 @@ class Triangulation:
                 rest ^= bit
         # a face m lies in the restriction to every base face containing
         # sigma(m); it is maximal in some restriction of higher dimension
-        # exactly when it is maximal (no coface carried inside) in the
-        # restriction to sigma(m) (when |m| < |sigma(m)|) or to some
-        # sigma(m) + w (when |m| = |sigma(m)|)
+        # exactly when it is maximal in the restriction to sigma(m) (when
+        # |m| < |sigma(m)|) or to some W = sigma(m) + w (when |m| = |sigma(m)|).
+        # Its cofaces are carried at sigma(m) or above, and none of them at
+        # sigma(m) in the second case (the dimension check), so inside
+        # sigma(m) they are below[sigma(m)] and inside W they are below[W]
         for mask, lists in index.items():
             size = mask.bit_count()
             if any(lists[size + 1:]):
@@ -250,28 +243,34 @@ class Triangulation:
             for k, faces in enumerate(lists[1:size + 1], 1):
                 targets = (mask,) if k < size else wider.get(mask, ())
                 for face in faces:
-                    cofaces = up.get(face, ())
-                    if mask in cofaces:  # that coface is wherever face is
-                        continue
                     for w in targets:
-                        if all(e & ~w for e in cofaces):
+                        if face not in below.get(w, ()):
                             raise InvalidTriangulationError(
                                 f"restriction to {_mask_labels(base, w)} is not"
                                 f" pure: {sorted(total.labels_of(face))} is maximal"
                             )
-        for fmask in base_masks:
+        # Let e(V) be the sum of (-1)^(|F|-1) over the faces F carried at V,
+        # so that the reduced Euler characteristic of Gamma_V is the sum of
+        # e(U) over U <= V.  When W is reached, every V < W has passed:
+        # Gamma_V has reduced Euler characteristic 0, or -1 for V empty (the
+        # empty face alone).  Moebius inversion over the subsets of W gives
+        # e(U) = -(-1)^|U| for every U < W, so the faces carried in proper
+        # parts of W sum to -(sum over U < W of (-1)^|U|) = (-1)^|W|, and
+        # Gamma_W passes exactly when e(W) = (-1)^(|W|-1).  A vertex's
+        # restriction has only points by the dimension check, so reduced
+        # Euler characteristic 0 makes it a single point.
+        for fmask in sorted(base_masks, key=lambda m: (m.bit_count(), m)):
             if not fmask:
                 continue
             size = fmask.bit_count()
-            counts = self._counts_in(_ids(fmask))
-            if size >= len(counts) or not counts[size]:
+            lists = index.get(fmask, ())
+            if size >= len(lists) or not lists[size]:
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, fmask)} has no face of"
                     " full dimension"
                 )
-            # a vertex's restriction has only points by the dimension check,
-            # so reduced Euler characteristic 0 makes it a single point
-            euler = sum(c if k % 2 else -c for k, c in enumerate(counts))
+            euler = (-1) ** size + sum(
+                len(faces) if k % 2 else -len(faces) for k, faces in enumerate(lists))
             if euler:
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, fmask)} has reduced Euler"

@@ -227,6 +227,19 @@ def test_run_suite_builds_each_carrier_pattern_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_carrier_pattern_counts_the_faces_of_the_restriction(name):
+    # the counts key the run memo's certificate sharing: they are the face
+    # counts by size of the restriction, the empty face first
+    base = dict(corpus())[name]
+    for kind, maker in subdivision_kinds():
+        tri = maker(base)
+        for face in base.faces():
+            counts, _ = harness._carrier_pattern(tri, face)
+            assert counts == tri.restriction(face).total.f_vector(), (
+                kind, base.labels_of(face))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
 def test_inherited_boundary_matches_is_homology_ball(name):
     # the second route: every total over a certified ball that is not a
     # simplex inherits a boundary equal, ids and all, to is_homology_ball's

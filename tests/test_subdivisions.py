@@ -39,6 +39,7 @@ from thetalab import (
 from thetalab.harness import corpus, subdivision_kinds, triangulation_theta_flags
 from thetalab.homology import boundary_subcomplex
 from thetalab.subdivisions import (
+    _ids,
     _mask,
     _mask_labels,
     format_triangulation_text,
@@ -622,9 +623,9 @@ def _vertex_carriers(tri):
     return {(v,): tri.carrier_labels((v,)) for v in tri.total.vertex_labels}
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_validate_agrees_with_per_restriction_rule(data):
+def _draw_candidate(data):
+    """One small triangulation with one vertex carrier moved to any base face,
+    or with one total facet dropped; not validated."""
     tri = data.draw(st.sampled_from(_SMALL_TRIANGULATIONS))
     carriers = _vertex_carriers(tri)
     total = tri.total
@@ -637,9 +638,44 @@ def test_validate_agrees_with_per_restriction_rule(data):
         dropped = data.draw(st.sampled_from(facets))
         total = SimplicialComplex.from_facets([f for f in facets if f != dropped])
         carriers = {(v,): carriers[(v,)] for v in total.vertex_labels}
-    candidate = Triangulation(tri.base, total, carriers, validate=False)
+    return Triangulation(tri.base, total, carriers, validate=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_per_restriction_rule(data):
+    candidate = _draw_candidate(data)
     assert _rejects(Triangulation.validate, candidate) == _rejects(
         _per_restriction_validate, candidate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_euler_characteristic_from_the_faces_carried_at_one_mask(data):
+    # validate's Euler argument: once every proper part V of a base face W
+    # has the reduced Euler characteristic of a ball (-1 for V empty, the
+    # empty face alone), that of Gamma_W is (-1)^|W| plus the signed count
+    # of the faces carried at W itself
+    candidate = _draw_candidate(data)
+    index = candidate._carrier_index()
+    euler = {}
+    for fmask in sorted({_mask(f) for f in candidate.base.faces()}, key=int.bit_count):
+        euler[fmask] = candidate.restriction(_ids(fmask)).total.reduced_euler()
+        ball_below = all(euler[sub] == (-1 if sub == 0 else 0)
+                         for sub in euler if sub & fmask == sub != fmask)
+        if fmask and ball_below:
+            carried = index.get(fmask, ())
+            assert euler[fmask] == (-1) ** fmask.bit_count() + sum(
+                (-1) ** (k + 1) * len(faces) for k, faces in enumerate(carried))
+    # the characteristic validate names is that of the restriction it names
+    try:
+        candidate.validate()
+    except InvalidTriangulationError as exc:
+        named = re.fullmatch(r"restriction to \[(.*)\] has reduced Euler"
+                             r" characteristic (-?\d+), expected 0", str(exc))
+        if named:
+            labels = tuple(re.findall(r"'([^']*)'", named[1]))
+            assert int(named[2]) == euler[_mask(candidate.base._face_arg(labels))] != 0
 
 
 # One hand-built triangulation per validate message; the base, the total
@@ -667,6 +703,12 @@ _INVALID = {
         {"x": "a", "y": "b", "u": "ab", "v": "ab", "t": "ab"}),
     "restriction to ['a'] has no face of full dimension": (
         simplex("ab"), [("x", "y")], {"x": "ab", "y": "ab"}),
+    # nothing is carried at c and Gamma_ab has two components; base faces are
+    # checked by size, so the smaller one is named
+    "restriction to ['c'] has no face of full dimension": (
+        SimplicialComplex.from_facets([("a", "b"), ("b", "c")]),
+        [("x", "m"), ("n", "y"), ("y", "p")],
+        {"x": "a", "y": "b", "m": "ab", "n": "ab", "p": "bc"}),
     # a path from a to b plus a separate edge: pure, but two components
     "restriction to ['a', 'b'] has reduced Euler characteristic 1, expected 0": (
         simplex("ab"), [("x", "u"), ("u", "y"), ("v", "w")],
