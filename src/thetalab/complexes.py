@@ -133,12 +133,15 @@ class SimplicialComplex:
     """An abstract simplicial complex given by its facets.
 
     Instances are immutable; every derived complex is a new object.  Equality
-    and hashing compare facets as sets of label sets, so complexes built along
-    different routes agree whenever their faces agree.
+    and hashing compare one canonical value: the labels in sorted order and
+    the facets as sorted tuples of ids into that order.  It is the label
+    table and the facets themselves when the table is sorted, and equal for
+    two complexes exactly when their sets of facet label sets are, so
+    complexes built along different routes agree whenever their faces agree.
     """
 
     __slots__ = ("_table", "_facets", "_dim", "_all_faces", "_by_dim",
-                 "_facet_labelsets", "_stars")
+                 "_hash", "_stars")
 
     def __init__(self, table: LabelTable, facets: tuple[Face, ...]):
         # Internal constructor: `from_facets` is the validated entry point.
@@ -147,7 +150,7 @@ class SimplicialComplex:
         self._dim = max(map(len, facets)) - 1 if facets else None
         self._all_faces: frozenset[Face] | None = None
         self._by_dim: dict[int, tuple[Face, ...]] | None = None
-        self._facet_labelsets: frozenset[frozenset[str]] | None = None
+        self._hash: int | None = None
         self._stars: list[list[Face]] | None = None
 
     @classmethod
@@ -366,23 +369,33 @@ class SimplicialComplex:
     # ------------------------------------------------------------- identity
 
     def facet_labelsets(self) -> frozenset[frozenset[str]]:
-        if self._facet_labelsets is None:
-            self._facet_labelsets = frozenset(
-                frozenset(self._table.labels_of(f)) for f in self._facets)
-        return self._facet_labelsets
+        return frozenset(frozenset(self._table.labels_of(f)) for f in self._facets)
 
     def face_labelsets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self._table.labels_of(f)) for f in self.faces())
 
+    def _canonical(self) -> tuple[tuple[str, ...], tuple[Face, ...]]:
+        """The sorted labels and the sorted facets on their ids.  The table
+        holds just the vertices that occur and the facets are sorted and
+        distinct (see _on_ids), so only an unsorted table needs re-sorting."""
+        labels = self._table.labels
+        if all(a < b for a, b in zip(labels, labels[1:])):
+            return labels, self._facets
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        rank = {old: new for new, old in enumerate(order)}
+        return (tuple(labels[v] for v in order),
+                tuple(sorted(tuple(sorted(rank[v] for v in f)) for f in self._facets)))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        if self.is_void or other.is_void:
-            return self.is_void and other.is_void
-        return self.facet_labelsets() == other.facet_labelsets()
+        return self is other or (
+            hash(self) == hash(other) and self._canonical() == other._canonical())
 
     def __hash__(self) -> int:
-        return hash(self.facet_labelsets())
+        if self._hash is None:
+            self._hash = hash(self._canonical())
+        return self._hash
 
     def __repr__(self) -> str:
         if self.is_void:

@@ -13,8 +13,8 @@ or, for the total of a subdivision the run built over a certified ball that
 is not a simplex, by inheritance from the base and the restrictions (see
 _inherited_boundary).  The run memo is the only cache: within one run_suite
 or scan_reports call, or one direct call of a check that opens it, results
-are memoized by facet label sets, and the memo lasts that one call, so no
-run sees another's facts.
+are memoized by complex, equal complexes sharing one entry, and the memo
+lasts that one call, so no run sees another's facts.
 It holds the triangulations as well: each kind of subdivision of a complex is
 built once per run, and each complex's h-polynomial is computed once.  Every
 expansion over base faces reads the base's faces and their links, and a
@@ -130,7 +130,8 @@ class VerificationReport:
             raise PreconditionError(f"unknown report kind {self.kind!r}")
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # the fields are strings and booleans, so asdict's deep copy is not needed
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def failures(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
@@ -169,9 +170,10 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
 # ------------------------------------------------------------ memoized facts
 
 # The memo of one run_suite, scan_reports or ball_basics_reports call, keyed
-# by (what, key) where key is built from facet label sets, with the label
-# table where ids matter; None outside such a call, so a direct call of the
-# functions below computes afresh.
+# by (what, key) where key holds the complexes themselves, which hash once and
+# compare by their canonical value, with the label table where ids matter;
+# None outside such a call, so a direct call of the functions below computes
+# afresh.
 _RUN_CACHE: dict | None = None
 
 
@@ -198,12 +200,8 @@ def _cached(what: str, key, compute: Callable):
     return _RUN_CACHE[memo_key]
 
 
-def _key(c: SimplicialComplex) -> frozenset:
-    return c.facet_labelsets()
-
-
 def _h(c: SimplicialComplex) -> IntPoly:
-    return _cached("h", _key(c), lambda: h_poly(c))
+    return _cached("h", c, lambda: h_poly(c))
 
 
 def verified_boundary(c: SimplicialComplex) -> SimplicialComplex | None:
@@ -218,11 +216,11 @@ def verified_boundary(c: SimplicialComplex) -> SimplicialComplex | None:
         raise PreconditionError("the void complex is not classifiable")
 
     def compute() -> SimplicialComplex | None:
-        tri = (_RUN_CACHE or {}).get(("made by", _key(c)))
+        tri = (_RUN_CACHE or {}).get(("made by", c))
         inherited = None if tri is None else _inherited_boundary(tri)
         return inherited if inherited is not None else is_homology_ball(c)
 
-    return _cached("ball", _key(c), compute)
+    return _cached("ball", c, compute)
 
 
 def _inherited_boundary(tri: Triangulation) -> SimplicialComplex | None:
@@ -285,7 +283,7 @@ def _inherited_boundary(tri: Triangulation) -> SimplicialComplex | None:
 
 
 def _verified_sphere(c: SimplicialComplex) -> bool:
-    return _cached("sphere", _key(c), lambda: is_homology_sphere(c))
+    return _cached("sphere", c, lambda: is_homology_sphere(c))
 
 
 def theta_verified(c: SimplicialComplex) -> IntPoly:
@@ -299,7 +297,7 @@ def theta_verified(c: SimplicialComplex) -> IntPoly:
             raise PreconditionError("not a verified homology ball")
         return _theta_of_h(_h(c), _h(bd), c.dim + 1)
 
-    return _cached("theta", _key(c), compute)
+    return _cached("theta", c, compute)
 
 
 def _sd_h(c: SimplicialComplex) -> IntPoly:
@@ -335,7 +333,7 @@ def base_profile(c: SimplicialComplex) -> BaseProfile:
         cm_star = is_cohen_macaulay_star(c) if cm else False
         return BaseProfile(bd, sphere, cm, cm_star, c.is_flag())
 
-    return _cached("profile", _key(c), compute)
+    return _cached("profile", c, compute)
 
 
 # -------------------------------------------------- corpus and triangulations
@@ -392,22 +390,22 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
             tri = dict(subdivision_kinds())[kind](c)
         if len(tri.total.vertices) > len(c.vertices):
             # the first triangulation recorded for a total certifies it
-            _cached("made by", _key(tri.total), lambda: tri)
+            _cached("made by", tri.total, lambda: tri)
         return tri
 
-    return _cached("tri", (kind, _key(c)), compute)
+    return _cached("tri", (kind, c), compute)
 
 
 def _base_faces(c: SimplicialComplex) -> list[Face]:
     """The faces of c in _sorted_faces order, once per run.  They are ids,
     which may differ between equal complexes, so the keys aligned with them
     hold c's label table."""
-    return _cached("faces", (c.table, _key(c)), lambda: _sorted_faces(c))
+    return _cached("faces", (c.table, c), lambda: _sorted_faces(c))
 
 
 def _base_links(c: SimplicialComplex) -> list[SimplicialComplex]:
     """The link of each face of _base_faces(c), once per run."""
-    return _cached("links", (c.table, _key(c)),
+    return _cached("links", (c.table, c),
                    lambda: [c._link_ids(f) for f in _base_faces(c)])
 
 
@@ -830,7 +828,7 @@ def remark_4_7_instance() -> tuple[SimplicialComplex, SimplicialComplex, str]:
     of the outer ball, and removing its star costs exactly x^2 of theta.
     """
     base = simplex(["a", "b", "c", "d"])
-    outer = _cached("tri", ("esd4", _key(base)), lambda: edgewise(base, 4)).total
+    outer = _cached("tri", ("esd4", base), lambda: edgewise(base, 4)).total
     vertex = "a:4"
     containing = [f for f in outer.facets if vertex in outer.labels_of(f)]
     if len(containing) != 1:
@@ -869,7 +867,7 @@ def check_conjecture_5_3(
 
 
 def _gamma_poly(c: SimplicialComplex) -> IntPoly:
-    return _cached("gamma", _key(c),
+    return _cached("gamma", c,
                    lambda: IntPoly(_sphere_gamma_of_h(_h(c), c.dim + 1).gammas))
 
 
@@ -1060,17 +1058,21 @@ class InstanceGenerator:
     max_vertices: int = 12
 
     def _one(self, dim: int, index: int) -> SimplicialComplex:
+        """The instance at (dim, index), made and certified once per run."""
+        return _cached("instance", (self, dim, index), lambda: self._make(dim, index))
+
+    def _make(self, dim: int, index: int) -> SimplicialComplex:
         rng = _rng(self.seed, self.klass, dim, index)
         budget = min(self.max_vertices, dim + 2 + rng.randint(1, 5))
         if self.klass == "ball":
             c = _grow_ball(rng, dim, budget)
-            if is_homology_ball(c) is None:
+            if verified_boundary(c) is None:
                 raise ConsistencyError("ball growth produced a non-ball")
             return c
         if self.klass == "sphere":
             ball = _grow_ball(rng, dim, budget - 1)
             c = _sphere_from_ball(ball, fresh_label(ball, "apex"))
-            if not is_homology_sphere(c):
+            if not _verified_sphere(c):
                 raise ConsistencyError("sphere construction failed")
             return c
         if self.klass == "CM":
@@ -1089,7 +1091,7 @@ class InstanceGenerator:
             return _grow_ball(rng, dim, budget)
         if self.klass == "flag-sphere":
             c = _grow_flag_sphere(rng, dim, budget)
-            if not c.is_flag() or not is_homology_sphere(c):
+            if not c.is_flag() or not _verified_sphere(c):
                 raise ConsistencyError("flag sphere construction failed")
             return c
         if self.klass == "flag-ball":
@@ -1099,7 +1101,7 @@ class InstanceGenerator:
             if rng.random() < 0.4:
                 edges = _facet_labels(c, c.faces_of_dim(1))
                 c = stellar(c, rng.choice(edges)).total
-            if not c.is_flag() or is_homology_ball(c) is None:
+            if not c.is_flag() or verified_boundary(c) is None:
                 raise ConsistencyError("flag ball construction failed")
             return c
         raise PreconditionError(f"unknown instance class {self.klass!r}")
@@ -1632,8 +1634,11 @@ def _real_rootedness_reports(max_dim: int) -> list[VerificationReport]:
 
 
 def _check_max_dim(max_dim: int) -> None:
+    # at 5 a full run takes seconds and hundreds of MB; beyond it, minutes
     if max_dim < 1:
         raise PreconditionError("max_dim must be at least 1")
+    if max_dim > 5:
+        raise PreconditionError("max_dim must be at most 5")
 
 
 def scan_reports(

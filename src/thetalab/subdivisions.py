@@ -9,9 +9,10 @@ same mapping as the file format: every vertex of the total complex needs a
 carrier, and a higher face may be given one only if it equals the union.
 
 Each Triangulation caches one carrier index: for every carrier mask, the
-faces carried there, listed by size.  validate checks it mask by mask, local
-h of any restriction is a sum over its list lengths (see invariants), and the
-harness reads the face counts and largest faces of restrictions from it.
+faces carried there, as one tuple per size.  validate checks it mask by mask,
+local h of any restriction is a sum over its tuple lengths (see invariants),
+and the harness reads the face counts and largest faces of restrictions from
+it.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -96,7 +97,7 @@ class Triangulation:
     ):
         self._base = base
         self._total = total
-        self._index: dict[int, list[list[Face]]] | None = None
+        self._index: dict[int, tuple[tuple[Face, ...], ...]] | None = None
         vmask: list[int | None] = [None] * len(total.table)
         higher: list[tuple[Face, int]] = []
         for key, value in carrier.items():
@@ -143,12 +144,12 @@ class Triangulation:
             mask |= vmask[v]
         return mask
 
-    def _carrier_index(self) -> dict[int, list[list[Face]]]:
+    def _carrier_index(self) -> dict[int, tuple[tuple[Face, ...], ...]]:
         """The faces of the total complex by carrier mask and size (cached).
 
-        List k at mask m holds the faces with k vertices and carrier mask m;
-        the empty face is at mask 0.  Every mask has dim + 2 lists, for the
-        face sizes of the total complex, and its vertex list is in id order.
+        Tuple k at mask m holds the faces with k vertices and carrier mask m;
+        the empty face is at mask 0.  Every mask has dim + 2 tuples, for the
+        face sizes of the total complex, and its vertex tuple is in id order.
         """
         if self._index is None:
             width = 0 if self._total.is_void else self._total.dim + 2
@@ -162,7 +163,7 @@ class Triangulation:
             if width > 1:
                 for lists in index.values():
                     lists[1].sort()
-            self._index = index
+            self._index = {m: tuple(map(tuple, lists)) for m, lists in index.items()}
         return self._index
 
     def carrier_of(self, face) -> Face:

@@ -240,6 +240,21 @@ def test_scan_rejects_max_dim_below_one(capsys, kind):
     assert captured.err == "error: max_dim must be at least 1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-dim", "6"],
+    ["scan", "--kind", "theta-zero", "--max-dim", "6"],
+    ["scan", "--kind", "real-rooted", "--max-dim", "6"],
+])
+def test_max_dim_above_five_is_refused_at_once(capsys, argv):
+    # a full run at max_dim 5 already takes seconds and hundreds of MB
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_dim must be at most 5\n"
+
+
 # ------------------------------------------------------------------ tables
 
 

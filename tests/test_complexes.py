@@ -1,6 +1,7 @@
 """Complex construction, face queries, operations, and the facet file format."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetalab import (
     FileFormatError,
@@ -189,6 +190,33 @@ def test_equality_is_label_based():
     assert a == b
     assert hash(a) == hash(b)
     assert a != SimplicialComplex.from_facets([("x", "y")])
+
+
+_LABELS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def _built_twice(draw):
+    """One random complex on up to 6 labels, void and empty included, built
+    through from_facets on ids with two random label table orders."""
+    facets = draw(st.lists(st.sets(st.sampled_from(_LABELS), max_size=4), max_size=6))
+    built = []
+    for _ in range(2):
+        table = draw(st.permutations(_LABELS))
+        built.append(SimplicialComplex.from_facets(
+            [[table.index(v) for v in f] for f in facets], labels=table))
+    return built
+
+
+@settings(max_examples=300, deadline=None)
+@given(_built_twice(), _built_twice())
+def test_equality_and_hash_follow_facet_label_sets(first, second):
+    complexes = first + second
+    for x in complexes:
+        for y in complexes:
+            assert (x == y) == (x.facet_labelsets() == y.facet_labelsets())
+            if x == y:
+                assert hash(x) == hash(y)
 
 
 def test_union_and_subcomplex_predicates():

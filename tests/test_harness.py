@@ -1,5 +1,6 @@
 """Verification harness: suites, report plumbing, generators, scans."""
 
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -71,6 +72,15 @@ def test_report_json_round_trip():
         "applicable": True,
         "detail": "",
     }
+
+
+def test_report_json_equals_the_asdict_route():
+    # to_json dumps the fields without asdict's deep copy; asdict is the
+    # reference route
+    reports = run_suite("all", seed=0, max_dim=2)
+    assert reports
+    for r in reports:
+        assert r.to_json() == json.dumps(dataclasses.asdict(r), sort_keys=True)
 
 
 def test_report_rejects_unknown_kind():
@@ -586,6 +596,55 @@ def test_base_face_records_keep_id_orders_apart():
         assert [checks(tri) for tri in tris] == separate
 
 
+def test_run_memo_takes_equal_complexes_as_one_key(monkeypatch):
+    # the memo is keyed by the complexes, which compare by label: two equal
+    # balls on different id orders are certified once
+    facets = [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")]
+    labels = list("cebda")
+    forward = SimplicialComplex.from_facets(facets)
+    other = SimplicialComplex.from_facets(
+        [[labels.index(v) for v in f] for f in facets], labels=labels)
+    assert forward == other and forward.facets != other.facets
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return is_homology_ball(c)
+
+    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    with harness._run_cache():
+        assert verified_boundary(forward) == verified_boundary(other)
+    assert calls == [forward]
+
+
+def test_run_suite_makes_and_certifies_each_instance_once(monkeypatch):
+    # the generators' instances come from the run memo, and their ball and
+    # sphere checks are the run's certificates, taken once per complex
+    made, balls, spheres = [], [], []
+    make = InstanceGenerator._make
+    ball, sphere = harness.is_homology_ball, harness.is_homology_sphere
+
+    def counted_make(self, dim, index):
+        made.append((self, dim, index))
+        return make(self, dim, index)
+
+    def counted_ball(c):
+        balls.append(c.facet_labelsets())
+        return ball(c)
+
+    def counted_sphere(c):
+        spheres.append(c.facet_labelsets())
+        return sphere(c)
+
+    monkeypatch.setattr(InstanceGenerator, "_make", counted_make)
+    monkeypatch.setattr(harness, "is_homology_ball", counted_ball)
+    monkeypatch.setattr(harness, "is_homology_sphere", counted_sphere)
+    run_suite("all", seed=0, max_dim=2, samples=1)
+    for calls in (made, balls, spheres):
+        repeated = [call for call, n in Counter(calls).items() if n > 1]
+        assert calls and not repeated, repeated[:3]
+
+
 def test_run_cache_lives_only_inside_a_run(monkeypatch):
     assert harness._RUN_CACHE is None
     verified_boundary(simplex("abc"))
@@ -615,3 +674,5 @@ def test_run_suite_validation():
         run_suite("everything")
     with pytest.raises(PreconditionError):
         run_suite("all", max_dim=0)
+    with pytest.raises(PreconditionError):
+        run_suite("all", max_dim=6)

@@ -740,7 +740,7 @@ def _check_carrier_index(tri):
         for size, faces in enumerate(lists):
             assert all(len(f) == size and tri._carrier_mask(f) == mask for f in faces)
             listed.extend(faces)
-        assert all(vertices == sorted(vertices) for vertices in lists[1:2])
+        assert all(list(vertices) == sorted(vertices) for vertices in lists[1:2])
     assert len(listed) == len(set(listed)) and set(listed) == tri.total.faces()
 
 
