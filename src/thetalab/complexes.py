@@ -230,14 +230,20 @@ class SimplicialComplex:
     def faces(self) -> frozenset[Face]:
         """All faces, including the empty face for non-void complexes."""
         if self._all_faces is None:
-            acc: set[Face] = set()
-            if self._facets:
-                acc.add(())
-            for facet in self._facets:
-                for k in range(1, len(facet) + 1):
-                    acc.update(itertools.combinations(facet, k))
-            self._all_faces = frozenset(acc)
+            self._all_faces = self._face_set()
         return self._all_faces
+
+    def _face_set(self) -> frozenset[Face]:
+        """faces(), read from the cache when it is filled; never fills it."""
+        if self._all_faces is not None:
+            return self._all_faces
+        acc: set[Face] = set()
+        if self._facets:
+            acc.add(())
+        for facet in self._facets:
+            for k in range(1, len(facet) + 1):
+                acc.update(itertools.combinations(facet, k))
+        return frozenset(acc)
 
     def faces_of_dim(self, d: int) -> tuple[Face, ...]:
         if self._by_dim is None:
@@ -372,7 +378,7 @@ class SimplicialComplex:
         return frozenset(frozenset(self._table.labels_of(f)) for f in self._facets)
 
     def face_labelsets(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(self._table.labels_of(f)) for f in self.faces())
+        return frozenset(frozenset(self._table.labels_of(f)) for f in self._face_set())
 
     def _canonical(self) -> tuple[tuple[str, ...], tuple[Face, ...]]:
         """The sorted labels and the sorted facets on their ids.  The table

@@ -20,7 +20,8 @@ built once per run, and each complex's h-polynomial is computed once.  Every
 expansion over base faces reads the base's faces and their links, and a
 triangulation's local h and restriction thetas, each listed once per run in
 one face order, and the local h of each triangulation of a simplex once per
-run.  Local h and carrier patterns are read off the carrier index.  The
+run.  Local h, carrier patterns and the h of each built total are read off
+the carrier index, so a total certified by inheritance needs no face set.  The
 certificate of a restriction, its theta and whether its boundary is carried
 in the base face's boundary, is kept once per triangulation and base face,
 and shared by carrier pattern: restrictions with equal face counts and equal
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import random
 from typing import Callable, Iterable, Sequence
@@ -65,6 +67,7 @@ from .homology import (
     no_facet_on_union_boundaries,
 )
 from .invariants import (
+    _h_of_counts,
     _local_h_at,
     _sphere_gamma_of_h,
     _theta_of_h,
@@ -175,6 +178,7 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
 # None outside such a call, so a direct call of the functions below computes
 # afresh.
 _RUN_CACHE: dict | None = None
+_MISSING = object()  # memoized values may be None
 
 
 @contextlib.contextmanager
@@ -194,10 +198,10 @@ def _run_cache():
 def _cached(what: str, key, compute: Callable):
     if _RUN_CACHE is None:
         return compute()
-    memo_key = (what, key)
-    if memo_key not in _RUN_CACHE:
-        _RUN_CACHE[memo_key] = compute()
-    return _RUN_CACHE[memo_key]
+    value = _RUN_CACHE.get((what, key), _MISSING)
+    if value is _MISSING:
+        value = _RUN_CACHE[(what, key)] = compute()
+    return value
 
 
 def _h(c: SimplicialComplex) -> IntPoly:
@@ -277,9 +281,9 @@ def _inherited_boundary(tri: Triangulation) -> SimplicialComplex | None:
                              for ball in _at_faces(_restriction_ball, tri)):
         return None
     index = tri._carrier_index()
+    # the top faces carried at a ridge r of dDelta have |r| vertices
     return SimplicialComplex._on_ids(tri.total.table, [
-        f for r in bd.facets
-        for f in index[_mask(base.face(bd.labels_of(r)))][len(r)]])
+        f for r in bd.facets for f in index[_mask(base.face(bd.labels_of(r)))][2]])
 
 
 def _verified_sphere(c: SimplicialComplex) -> bool:
@@ -391,6 +395,7 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
         if len(tri.total.vertices) > len(c.vertices):
             # the first triangulation recorded for a total certifies it
             _cached("made by", tri.total, lambda: tri)
+        _cached("h", tri.total, lambda: _h_of_counts(_summed(tri._carrier_index().values())))
         return tri
 
     return _cached("tri", (kind, c), compute)
@@ -466,14 +471,16 @@ def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
     for i, b in enumerate(face):
         subs.update({m | 1 << b: r | 1 << i for m, r in list(subs.items())})
     carried = [(subs[m], index[m]) for m in subs if m in index]
-    counts = [sum(map(len, faces)) for faces in zip(*(by_size for _, by_size in carried))]
-    while counts and not counts[-1]:
-        counts.pop()
-    names = {v: (pos, r) for pos, by_size in carried
-             for vertices in by_size[1:2] for r, (v,) in enumerate(vertices)}
-    largest = frozenset(frozenset(names[v] for v in f)
-                        for _, by_size in carried for f in by_size[len(counts) - 1])
-    return tuple(counts), largest
+    counts = _summed(entry for _, entry in carried)
+    names = {v: (pos, r) for pos, (_, vs, _) in carried for r, v in enumerate(vs)}
+    largest = frozenset(frozenset(names[v] for v in f) for _, (c, _, top) in carried
+                        if len(c) == len(counts) for f in top)
+    return counts, largest
+
+
+def _summed(entries: Iterable[tuple]) -> tuple[int, ...]:
+    """The face counts by size of carrier index entries, added up."""
+    return tuple(map(sum, itertools.zip_longest(*(e[0] for e in entries), fillvalue=0)))
 
 
 @_run_cache()
@@ -492,7 +499,7 @@ def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
 
 
 def _sorted_faces(c: SimplicialComplex):
-    return sorted(c.faces(), key=lambda f: (len(f), tuple(sorted(c.labels_of(f)))))
+    return sorted(c._face_set(), key=lambda f: (len(f), tuple(sorted(c.labels_of(f)))))
 
 
 # ----------------------------------------------------------- identity checks

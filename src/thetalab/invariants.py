@@ -4,9 +4,9 @@ theta is always computed two independent ways (boundary subtraction and the
 partial-sum formula) and a ConsistencyError is raised if they disagree, so a
 successful call certifies its own arithmetic.
 
-Local h is read from the carrier index of a triangulation (the faces F of
-each size |F| with each carrier sigma(F), of which only the counts are used)
-in one pass, with no restriction rebuilt: for a base simplex E,
+Local h is read from the carrier index of a triangulation (the counts of
+the faces F of each size |F| with each carrier sigma(F)) in one pass, with
+no restriction rebuilt: for a base simplex E,
 
     l_E(x) = sum over F with sigma(F) inside E of
              (-1)^(|E|-|sigma(F)|) x^(|E|-|sigma(F)|+|F|) (1-x)^(|sigma(F)|-|F|),
@@ -145,7 +145,7 @@ def _local_h_at(tri: Triangulation, face: Face) -> IntPoly:
     sub = mask
     while True:
         s = sub.bit_count()
-        for k, c in enumerate(map(len, index.get(sub, ()))):
+        for k, c in enumerate(index[sub][0] if sub in index else ()):
             # c (-1)^(size-s) x^(size-s+k) (1-x)^(s-k), expanded binomially
             for j in range(s - k + 1):
                 coeffs[size - s + k + j] += (-1) ** (size - s + j) * c * comb(s - k, j)

@@ -8,11 +8,11 @@ face's carrier is the OR of its vertices' masks.  The constructor takes the
 same mapping as the file format: every vertex of the total complex needs a
 carrier, and a higher face may be given one only if it equals the union.
 
-Each Triangulation caches one carrier index: for every carrier mask, the
-faces carried there, as one tuple per size.  validate checks it mask by mask,
-local h of any restriction is a sum over its tuple lengths (see invariants),
-and the harness reads the face counts and largest faces of restrictions from
-it.
+Each Triangulation caches one carrier index: per carrier mask, the counts by
+size of the faces carried there, their vertices and their largest faces.
+validate checks the faces grouped by mask and size, then keeps the index.
+Local h of a restriction sums its counts (see invariants), and the harness
+reads h and restriction patterns from it without filling the face cache.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -68,6 +68,15 @@ def _ids(mask: int) -> Face:
 
 def _mask_labels(complex_: SimplicialComplex, mask: int) -> list[str]:
     return sorted(complex_.labels_of(_ids(mask)))
+
+
+def _slim(groups: dict[int, list[list[Face]]]) -> dict:
+    """The carrier index of Triangulation._grouped's lists, which it trims."""
+    for lists in groups.values():
+        while not lists[-1]:
+            lists.pop()
+    return {m: (tuple(map(len, lists)), tuple(v for vs in lists[1:2] for (v,) in vs),
+                tuple(lists[-1])) for m, lists in groups.items()}
 
 
 class Triangulation:
@@ -144,26 +153,29 @@ class Triangulation:
             mask |= vmask[v]
         return mask
 
-    def _carrier_index(self) -> dict[int, tuple[tuple[Face, ...], ...]]:
-        """The faces of the total complex by carrier mask and size (cached).
+    def _grouped(self) -> dict[int, list[list[Face]]]:
+        """The total's faces by carrier mask and size, dim + 2 lists per mask,
+        vertices in id order; the total's face cache is not filled."""
+        width = 0 if self._total.is_void else self._total.dim + 2
+        groups: dict[int, list[list[Face]]] = {}
+        for face in self._total._face_set():
+            mask = self._carrier_mask(face)
+            lists = groups.get(mask)
+            if lists is None:
+                lists = groups[mask] = [[] for _ in range(width)]
+            lists[len(face)].append(face)
+        if width > 1:
+            for lists in groups.values():
+                lists[1].sort()
+        return groups
 
-        Tuple k at mask m holds the faces with k vertices and carrier mask m;
-        the empty face is at mask 0.  Every mask has dim + 2 tuples, for the
-        face sizes of the total complex, and its vertex tuple is in id order.
-        """
+    def _carrier_index(self) -> dict[int, tuple]:
+        """Per carrier mask m, (counts, vertices, top): counts[k] faces of size
+        k carried at m, up to the top size (|m| once validated); the vertex
+        ids in id order; the faces of the top size.  Kept by validate, or
+        built on first use."""
         if self._index is None:
-            width = 0 if self._total.is_void else self._total.dim + 2
-            index: dict[int, list[list[Face]]] = {}
-            for face in self._total.faces():
-                mask = self._carrier_mask(face)
-                lists = index.get(mask)
-                if lists is None:
-                    lists = index[mask] = [[] for _ in range(width)]
-                lists[len(face)].append(face)
-            if width > 1:
-                for lists in index.values():
-                    lists[1].sort()
-            self._index = {m: tuple(map(tuple, lists)) for m, lists in index.items()}
+            self._index = _slim(self._grouped())
         return self._index
 
     def carrier_of(self, face) -> Face:
@@ -180,9 +192,9 @@ class Triangulation:
         """Carrier assignments of every face, keyed by label sets (a new dict)."""
         total, base = self._total, self._base
         return {
-            frozenset(total.labels_of(f)): frozenset(base.labels_of(_ids(m)))
-            for m, lists in self._carrier_index().items()
-            for faces in lists for f in faces
+            frozenset(total.labels_of(f)):
+                frozenset(base.labels_of(_ids(self._carrier_mask(f))))
+            for f in total.faces()
         }
 
     def validate(self) -> None:
@@ -191,11 +203,12 @@ class Triangulation:
         Besides bookkeeping (carriers are base faces, only the empty face has
         the empty carrier), this checks that the restriction to every base
         face is pure of the right dimension and has the Euler characteristic
-        of a ball, with vertices restricting to single points.  A first pass
-        over the carrier index checks carriers and lists each mask's faces
-        one vertex smaller than a face carried there; a second checks
-        dimensions and purity mask by mask, then full dimension and the Euler
-        characteristic of each base face, smallest first, from its own mask.
+        of a ball, with vertices restricting to single points.  On the
+        faces grouped by carrier, a first pass checks carriers and lists each
+        mask's faces one vertex smaller than a face carried there; a second
+        checks dimensions and purity mask by mask, then full dimension and
+        the Euler characteristic of each base face, smallest first, from its
+        own mask.  The grouping then gives the carrier index.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
@@ -207,26 +220,24 @@ class Triangulation:
                 "only the empty face may have an empty carrier"
             )
         base_masks = {_mask(f) for f in base.faces()}
-        index = self._carrier_index()
-        # the faces one vertex smaller than a face carried at each mask
-        below: dict[int, set[Face]] = {}
-        for mask, lists in index.items():
+        groups = self._grouped()
+        # the faces one vertex smaller than a face carried at each base face
+        below: dict[int, set[Face]] = {m: set() for m in base_masks}
+        for mask, lists in groups.items():
             if mask not in base_masks:
                 face = next(itertools.chain.from_iterable(lists))
                 raise InvalidTriangulationError(
                     f"carrier {_mask_labels(base, mask)} of"
                     f" {sorted(total.labels_of(face))} is not a face of the base"
                 )
-            below[mask] = {sub for face in itertools.chain.from_iterable(lists[2:])
-                           for sub in itertools.combinations(face, len(face) - 1)}
+            for k, faces in enumerate(lists[2:], 1):
+                below[mask].update(itertools.chain.from_iterable(
+                    map(itertools.combinations, faces, itertools.repeat(k))))
         # the base faces one vertex larger than each base face
         wider: dict[int, list[int]] = {}
         for fmask in base_masks:
-            rest = fmask
-            while rest:
-                bit = rest & -rest
-                wider.setdefault(fmask ^ bit, []).append(fmask)
-                rest ^= bit
+            for b in _ids(fmask):
+                wider.setdefault(fmask ^ 1 << b, []).append(fmask)
         # a face m lies in the restriction to every base face containing
         # sigma(m); it is maximal in some restriction of higher dimension
         # exactly when it is maximal in the restriction to sigma(m) (when
@@ -234,7 +245,7 @@ class Triangulation:
         # Its cofaces are carried at sigma(m) or above, and none of them at
         # sigma(m) in the second case (the dimension check), so inside
         # sigma(m) they are below[sigma(m)] and inside W they are below[W]
-        for mask, lists in index.items():
+        for mask, lists in groups.items():
             size = mask.bit_count()
             if any(lists[size + 1:]):
                 raise InvalidTriangulationError(
@@ -243,9 +254,11 @@ class Triangulation:
                 )
             for k, faces in enumerate(lists[1:size + 1], 1):
                 targets = (mask,) if k < size else wider.get(mask, ())
+                if all(below[w].issuperset(faces) for w in targets):
+                    continue
                 for face in faces:
                     for w in targets:
-                        if face not in below.get(w, ()):
+                        if face not in below[w]:
                             raise InvalidTriangulationError(
                                 f"restriction to {_mask_labels(base, w)} is not"
                                 f" pure: {sorted(total.labels_of(face))} is maximal"
@@ -260,11 +273,9 @@ class Triangulation:
         # Gamma_W passes exactly when e(W) = (-1)^(|W|-1).  A vertex's
         # restriction has only points by the dimension check, so reduced
         # Euler characteristic 0 makes it a single point.
-        for fmask in sorted(base_masks, key=lambda m: (m.bit_count(), m)):
-            if not fmask:
-                continue
+        for fmask in sorted(base_masks - {0}, key=lambda m: (m.bit_count(), m)):
             size = fmask.bit_count()
-            lists = index.get(fmask, ())
+            lists = groups.get(fmask, ())
             if size >= len(lists) or not lists[size]:
                 raise InvalidTriangulationError(
                     f"restriction to {_mask_labels(base, fmask)} has no face of"
@@ -277,6 +288,7 @@ class Triangulation:
                     f"restriction to {_mask_labels(base, fmask)} has reduced Euler"
                     f" characteristic {euler}, expected 0"
                 )
+        self._index = _slim(groups)
 
     def restriction(self, face) -> "Triangulation":
         """The induced triangulation of a base face (a simplex).

@@ -267,6 +267,38 @@ def test_inherited_boundary_matches_is_homology_ball(name):
                 assert verified_boundary(tri.total) == expected, kind
 
 
+@pytest.mark.parametrize("base", [c for _, c in corpus()]
+                         + [simplex("abcde"[:n]) for n in range(1, 6)])
+def test_h_of_the_carrier_index_matches_h_poly(base):
+    # _built enters each total's h in the run memo from the index counts;
+    # h_poly enumerates the total's faces and is the reference
+    with harness._run_cache():
+        for kind, _ in subdivision_kinds():
+            tri = harness._built(kind, base)
+            assert harness._summed(tri._carrier_index().values()) == tri.total.f_vector()
+            assert harness._h(tri.total) == invariants.h_poly(tri.total), kind
+
+
+def test_run_suite_keeps_no_face_set_of_an_inherited_total():
+    # an inherited certificate needs no face set of the total, unless the
+    # total is the base of another built triangulation, whose validate reads
+    # the base's faces as the allowed carriers; the carrier index keeps only
+    # the faces of the largest size at each mask
+    with harness._run_cache():
+        run_suite("all", seed=0)
+        memo = harness._RUN_CACHE
+        made = [tri for (what, _), tri in memo.items() if what == "made by"]
+        inherited = [tri for tri in made if harness._inherited_boundary(tri) is not None]
+        built = [tri for (what, _), tri in memo.items() if what == "tri"]
+        bases = {id(tri.base) for tri in built}
+    assert inherited and built
+    assert [tri for tri in inherited if tri.total._all_faces is not None
+            and id(tri.total) not in bases] == []
+    for tri in built:
+        for counts, _, top in tri._carrier_index().values():
+            assert len(top) == counts[-1] and {len(f) for f in top} == {len(counts) - 1}
+
+
 def test_run_suite_certifies_no_total_over_a_non_simplex_base(monkeypatch):
     totals, certified = set(), []
     built, certify = harness._built, harness.is_homology_ball
@@ -615,6 +647,26 @@ def test_run_memo_takes_equal_complexes_as_one_key(monkeypatch):
     with harness._run_cache():
         assert verified_boundary(forward) == verified_boundary(other)
     assert calls == [forward]
+
+
+def test_run_memo_compares_an_equal_key_once(monkeypatch):
+    # a lookup that finds an equal complex stored under another object
+    # compares the two once, not once to test and once to read
+    ball = cycle(4).cone("c")
+    same = SimplicialComplex.from_facets([ball.labels_of(f) for f in ball.facets])
+    assert same == ball and same is not ball
+    compared = []
+    equal = SimplicialComplex.__eq__
+
+    def counted(self, other):
+        compared.append(other)
+        return equal(self, other)
+
+    with harness._run_cache():
+        harness._cached("h", ball, lambda: "stored")
+        monkeypatch.setattr(SimplicialComplex, "__eq__", counted)
+        assert harness._cached("h", same, lambda: "computed") == "stored"
+    assert len(compared) == 1
 
 
 def test_run_suite_makes_and_certifies_each_instance_once(monkeypatch):

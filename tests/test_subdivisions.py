@@ -664,9 +664,9 @@ def test_euler_characteristic_from_the_faces_carried_at_one_mask(data):
         ball_below = all(euler[sub] == (-1 if sub == 0 else 0)
                          for sub in euler if sub & fmask == sub != fmask)
         if fmask and ball_below:
-            carried = index.get(fmask, ())
+            counts = index[fmask][0] if fmask in index else ()
             assert euler[fmask] == (-1) ** fmask.bit_count() + sum(
-                (-1) ** (k + 1) * len(faces) for k, faces in enumerate(carried))
+                (-1) ** (k + 1) * c for k, c in enumerate(counts))
     # the characteristic validate names is that of the restriction it names
     try:
         candidate.validate()
@@ -732,16 +732,20 @@ def test_validate_message(message):
 
 
 def _check_carrier_index(tri):
-    """Every face of the total is listed once, under its carrier mask and its
-    size; each mask has dim + 2 lists, and its vertices are in id order."""
-    listed = []
-    for mask, lists in tri._carrier_index().items():
-        assert len(lists) == tri.total.dim + 2
-        for size, faces in enumerate(lists):
-            assert all(len(f) == size and tri._carrier_mask(f) == mask for f in faces)
-            listed.extend(faces)
-        assert all(list(vertices) == sorted(vertices) for vertices in lists[1:2])
-    assert len(listed) == len(set(listed)) and set(listed) == tri.total.faces()
+    """The index equals a brute-force grouping of the total's faces by
+    carrier mask: per mask, the face counts by size up to the largest size
+    carried there, the vertex ids in id order, and the faces of that size."""
+    grouped = {}
+    for face in tri.total.faces():
+        grouped.setdefault(tri._carrier_mask(face), []).append(face)
+    index = tri._carrier_index()
+    assert set(index) == set(grouped)
+    for mask, faces in grouped.items():
+        counts, vertices, top = index[mask]
+        largest = max(map(len, faces))
+        assert counts == tuple(sum(len(f) == k for f in faces) for k in range(largest + 1))
+        assert vertices == tuple(sorted(v for f in faces if len(f) == 1 for v in f))
+        assert sorted(top) == sorted(f for f in faces if len(f) == largest)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
