@@ -326,7 +326,7 @@ class SimplicialComplex:
     def delete_vertex(self, vertex) -> "SimplicialComplex":
         """All faces not containing the vertex (the antistar)."""
         v = self._table.id(vertex) if isinstance(vertex, str) else vertex
-        if (v,) not in self.faces():
+        if not 0 <= v < len(self._table):
             raise NotAFaceError(f"vertex {vertex!r} not in complex")
         cut = [tuple(u for u in facet if u != v) for facet in self._facets]
         return SimplicialComplex.from_facets([self._table.labels_of(f) for f in cut])

@@ -8,27 +8,27 @@ ones, whose failure is a finding to record (conjecture, evidence).
 Identity ids such as "Thm2.1" or "Eq3.4" are stable wire-format strings used
 to aggregate reports; consumers should treat them as opaque labels.
 
-Every ball hypothesis is certified, whatever the size: by is_homology_ball,
-or, for the total of a subdivision the run built over a certified ball that
-is not a simplex, by inheritance from the base and the restrictions (see
-_inherited_boundary).  The run memo is the only cache: within one run_suite
-or scan_reports call, or one direct call of a check that opens it, results
-are memoized by complex, equal complexes sharing one entry, and the memo
+Every ball and sphere hypothesis is certified, whatever the size, by a
+shelling (homology.shelled_boundary) or, where its search stalls, by
+is_homology_ball and is_homology_sphere, whichever run built the complex.
+The run memo is the only cache: within one run_suite or scan_reports call,
+or one direct call of a check that opens it, results are memoized by
+complex, equal complexes sharing one entry, each shelled once, and the memo
 lasts that one call, so no run sees another's facts.
-It holds the triangulations as well: each kind of subdivision of a complex is
-built once per run, and each complex's h-polynomial is computed once.  Every
-expansion over base faces reads the base's faces and their links, and a
-triangulation's local h and restriction thetas, each listed once per run in
-one face order, and the local h of each triangulation of a simplex once per
-run.  Local h, carrier patterns and the h of each built total are read off
-the carrier index, so a total certified by inheritance needs no face set.  The
-certificate of a restriction, its theta and whether its boundary is carried
-in the base face's boundary, is kept once per triangulation and base face,
-and shared by carrier pattern: restrictions with equal face counts and equal
-largest faces, their vertices named by carrier and rank, are isomorphic,
-carriers kept, once one of them is a certified ball, so each pattern is
-certified once per run, on the first restriction that has it.  theta_class
-builds and certifies every restriction and is the reference route.
+It holds the triangulations as well: each kind of subdivision of a complex
+is built once per run, and each complex's h-polynomial is computed once.
+Every expansion over base faces reads the base's faces and their links, and
+a triangulation's local h and restriction thetas, each listed once per run
+in one face order, and the local h of each triangulation of a simplex once
+per run.  Local h, carrier patterns and the h of each built total are read
+off the carrier index, and a shelling reads only facets, so certifying a
+total builds no face set of it.  The theta of a restriction is kept once per
+triangulation and base face, and shared by carrier pattern: restrictions
+with equal face counts and equal largest faces, their vertices named by
+carrier and rank, are isomorphic, carriers kept, once one of them is a
+certified ball, so each pattern is certified once per run, on the first
+restriction that has it.  theta_class builds and certifies every restriction
+and is the reference route.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .homology import (
     is_homology_ball,
     is_homology_sphere,
     no_facet_on_union_boundaries,
+    shelled_boundary,
 )
 from .invariants import (
     _h_of_counts,
@@ -93,7 +94,6 @@ from .polynomials import (
 from .subdivisions import (
     ThetaClass,
     Triangulation,
-    _mask,
     _theta_class_of,
     antiprism,
     barycentric,
@@ -211,83 +211,29 @@ def _h(c: SimplicialComplex) -> IntPoly:
 def verified_boundary(c: SimplicialComplex) -> SimplicialComplex | None:
     """Boundary of c when c is a homology ball, else None.
 
-    A total that _built made in this run, with more vertices than its base,
-    inherits its certificate from the base and the restrictions when
-    _inherited_boundary grants it; every other complex, and a total whose
-    certificate is refused, is certified by is_homology_ball.
+    Certified by a shelling of c, found once per run for this and the
+    sphere check: shelled, c is a ball whose boundary is its ridges in one
+    facet, or a sphere and no ball when there are none.  Where the search
+    stalls, is_homology_ball decides.
     """
     if c.is_void:
         raise PreconditionError("the void complex is not classifiable")
 
     def compute() -> SimplicialComplex | None:
-        tri = (_RUN_CACHE or {}).get(("made by", c))
-        inherited = None if tri is None else _inherited_boundary(tri)
-        return inherited if inherited is not None else is_homology_ball(c)
+        bd = _cached("shelled", c, lambda: shelled_boundary(c))
+        if bd is None:
+            return is_homology_ball(c)
+        return None if bd.is_void else bd
 
     return _cached("ball", c, compute)
 
 
-def _inherited_boundary(tri: Triangulation) -> SimplicialComplex | None:
-    """The boundary of tri.total, inherited from certified pieces: the
-    complex generated by the faces carried in the boundary ridges of the
-    base, on tri.total's ids.  None (refused) unless the base is a certified
-    ball that is not a simplex and every restriction is a certified ball
-    whose boundary is carried in the boundary of its base face.
-
-    Lemma.  Let Delta be a homology d-ball over Q and Gamma a triangulation
-    of it that passes validate (every one _built makes does, identity aside,
-    which adds no vertex), and let every restriction Gamma_E to a face E of
-    Delta be a homology ball with boundary dGamma_E = Gamma_dE, the faces of
-    Gamma_E carried in proper faces of E.  Then Gamma is a homology d-ball
-    and dGamma = Gamma_dDelta.
-
-    Proof.  Fix G in Gamma with carrier sigma.  G is carried in no proper
-    face of sigma, so it is not on dGamma_sigma = Gamma_dsigma, and
-    S = lk_{Gamma_sigma}(G) is a homology sphere of dimension
-    s = |sigma| - |G| - 1.  For a subcomplex K of lk_Delta(sigma) let X_K be
-    the union over rho in K, the empty face included, of the pieces
-    P_rho = lk_{Gamma_{sigma u rho}}(G); P_empty = S, and since the carrier
-    of a face G u H is sigma u rho for some rho in lk_Delta(sigma),
-    X_{lk_Delta(sigma)} = lk_Gamma(G).  For rho nonempty, G lies in
-    Gamma_sigma, inside Gamma_d(sigma u rho) = dGamma_{sigma u rho}, so
-    P_rho, the link of a boundary face of a ball, is acyclic.  The acyclic
-    carrier theorem (Munkres, Elements of Algebraic Topology, section 13),
-    relative to S, then gives a chain equivalence X_K ~ S * K: carry a face
-    of S * K whose part in K is rho != empty to P_rho, and a face of X_K
-    carried in sigma u rho, rho != empty, to the cone S * rho-bar; on S both
-    carriers and both chain maps are the identity, and both composites are
-    carried by acyclic carriers that carry the identity too, so they are
-    homotopic to it.  So H~_i(lk_Gamma G) = H~_{i - s - 1}(lk_Delta sigma):
-    the link of G has the homology of a (d - |G|)-sphere when sigma is
-    interior to Delta, and none when sigma lies on dDelta, and G = empty
-    gives H~(Gamma) = H~(Delta) = 0.  Every face lies in some Gamma_F with F
-    a facet of Delta, pure of dimension d, so Gamma is pure; a ridge's link
-    is then two points or one, so it lies in at most two facets, and in one
-    exactly when its carrier lies on dDelta: dGamma = Gamma_dDelta.  The same
-    argument on the homology sphere dDelta, whose restrictions are those of
-    Gamma, gives dGamma sphere links throughout and the homology of dDelta,
-    so dGamma is a homology sphere.  That is all is_homology_ball checks.
-
-    The recursion ends: the base has fewer vertices than the total (_built
-    records only such totals), and each restriction has no more vertices
-    and fewer facets, as it misses the facets of Gamma carried in the other
-    facets of Delta and a facet of Gamma_F holds at most one of Gamma_E's.
-    """
-    base = tri.base
-    if len(base.facets) == 1:
-        return None
-    bd = verified_boundary(base)
-    if bd is None or not all(ball is not None and ball[1]
-                             for ball in _at_faces(_restriction_ball, tri)):
-        return None
-    index = tri._carrier_index()
-    # the top faces carried at a ridge r of dDelta have |r| vertices
-    return SimplicialComplex._on_ids(tri.total.table, [
-        f for r in bd.facets for f in index[_mask(base.face(bd.labels_of(r)))][2]])
-
-
 def _verified_sphere(c: SimplicialComplex) -> bool:
-    return _cached("sphere", c, lambda: is_homology_sphere(c))
+    def compute() -> bool:
+        bd = _cached("shelled", c, lambda: shelled_boundary(c))
+        return is_homology_sphere(c) if bd is None else bd.is_void
+
+    return _cached("sphere", c, compute)
 
 
 def theta_verified(c: SimplicialComplex) -> IntPoly:
@@ -392,13 +338,15 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
             tri = compose(_built(outer, tri.total), tri)
         else:
             tri = dict(subdivision_kinds())[kind](c)
-        if len(tri.total.vertices) > len(c.vertices):
-            # the first triangulation recorded for a total certifies it
-            _cached("made by", tri.total, lambda: tri)
-        _cached("h", tri.total, lambda: _h_of_counts(_summed(tri._carrier_index().values())))
-        return tri
+        return _with_h(tri)
 
     return _cached("tri", (kind, c), compute)
+
+
+def _with_h(tri: Triangulation) -> Triangulation:
+    """tri, the h of its total read off the carrier index into the run memo."""
+    _cached("h", tri.total, lambda: _h_of_counts(_summed(tri._carrier_index().values())))
+    return tri
 
 
 def _base_faces(c: SimplicialComplex) -> list[Face]:
@@ -416,28 +364,19 @@ def _base_links(c: SimplicialComplex) -> list[SimplicialComplex]:
 
 def _at_faces(at: Callable, tri: Triangulation) -> list:
     """at(tri, face) for each face of _base_faces(tri.base), once per run; at
-    is _local_h_at or _restriction_ball."""
+    is _local_h_at or _restriction_theta."""
     return _cached("at faces", (at, tri, tri.base.table),
                    lambda: [at(tri, f) for f in _base_faces(tri.base)])
 
 
-def _restriction_ball(tri: Triangulation, face: Face) -> tuple[IntPoly, bool] | None:
-    """The certificate of the restriction G of tri to a base face E (ids):
-    None when G is not a homology ball, else its theta and whether its
-    boundary is G_dE, generated by its faces of size |E| - 1 carried in
-    proper faces of E.  Taken on the first restriction of its carrier
-    pattern in the run."""
+def _restriction_theta(tri: Triangulation, face: Face) -> IntPoly | None:
+    """theta of the restriction of tri to a base face (ids), or None when
+    the restriction is not a homology ball.  Taken on the first restriction
+    of its carrier pattern in the run."""
 
-    def compute() -> tuple[IntPoly, bool] | None:
-        sub = tri.restriction(face)
-        bd = verified_boundary(sub.total)
-        if bd is None:
-            return None
-        full = (1 << len(face)) - 1  # E in the restriction's base ids
-        carried = [f for f in sub.total.faces_of_dim(len(face) - 2)
-                   if sub._carrier_mask(f) != full]
-        return (theta_verified(sub.total),
-                bd == SimplicialComplex._on_ids(sub.total.table, carried))
+    def compute() -> IntPoly | None:
+        total = tri.restriction(face).total
+        return None if verified_boundary(total) is None else theta_verified(total)
 
     return _cached("pattern", _carrier_pattern(tri, face), compute)
 
@@ -445,10 +384,10 @@ def _restriction_ball(tri: Triangulation, face: Face) -> tuple[IntPoly, bool] | 
 def _restriction_thetas(tri: Triangulation) -> list[IntPoly]:
     """theta of the restriction of tri to each face of _base_faces(tri.base);
     raises unless every one is a certified ball."""
-    balls = _at_faces(_restriction_ball, tri)
-    if None in balls:
+    thetas = _at_faces(_restriction_theta, tri)
+    if None in thetas:
         raise PreconditionError("not a verified homology ball")
-    return [t for t, _ in balls]
+    return thetas
 
 
 def _local_h(tri: Triangulation) -> IntPoly:
@@ -835,7 +774,7 @@ def remark_4_7_instance() -> tuple[SimplicialComplex, SimplicialComplex, str]:
     of the outer ball, and removing its star costs exactly x^2 of theta.
     """
     base = simplex(["a", "b", "c", "d"])
-    outer = _cached("tri", ("esd4", base), lambda: edgewise(base, 4)).total
+    outer = _cached("tri", ("esd4", base), lambda: _with_h(edgewise(base, 4))).total
     vertex = "a:4"
     containing = [f for f in outer.facets if vertex in outer.labels_of(f)]
     if len(containing) != 1:

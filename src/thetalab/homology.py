@@ -28,10 +28,20 @@ sections 3 and 43); and b1 comes from the reduced Euler characteristic
 -1 + V - E + T.  An edge in three or more triangles, which only the
 Cohen-Macaulay test lets through, has the link built and passed to betti,
 as have the links of faces of codimension 4 or more.
+
+A pure complex in which every ridge lies in at most two facets is also
+certified by a shelling (shelled_boundary): shellable, it is a PL ball whose
+boundary is its ridges in one facet, or a PL sphere when there are none
+(Danaraj and Klee, "Shellings of spheres and polytopes", Duke Math. J. 41,
+1974; Ziegler, Lectures on Polytopes, ch. 8), so a homology ball or sphere
+over every field.  A greedy search finds a shelling or stalls; a stall
+proves nothing, so is_homology_ball and is_homology_sphere stay the
+reference.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -341,6 +351,56 @@ def is_homology_ball(
     ok = _links_pass(complex_, field, counts, lambda k: k <= 2,
                      lambda face, b: not any(b) if face in on_bd else _sphere_like(b))
     return bd if ok else None
+
+
+def shelled_boundary(complex_: SimplicialComplex) -> SimplicialComplex | None:
+    """The boundary of a ball or sphere certified by a shelling: the complex
+    of the ridges in one facet, void for a sphere.  None, which proves
+    nothing, when the complex is empty or not pure, a ridge lies in three or
+    more facets, or the search stalls.
+
+    The search starts at the first facet and attaches a facet F across a
+    ridge from the shelled ones when its restriction R, the vertices v whose
+    ridge F - v lies in a shelled facet (the one across F - v), lies in
+    none: F then meets the shelled facets in the ridges F - v, v in R, a
+    pure complex of codimension 1.  Only a newly shelled neighbour changes
+    R, so a facet that fails waits for one.
+    """
+    if complex_.is_void:
+        raise PreconditionError("the void complex is not classifiable")
+    if complex_.is_empty or not complex_.is_pure():
+        return None
+    facets = complex_.facets
+    # near[F][t]: the facet across the ridge F minus its t-th vertex, or None
+    near: dict[Face, list[Face | None]] = {f: [None] * len(f) for f in facets}
+    first: dict[Face, tuple[Face, int]] = {}
+    for f in facets:
+        for t in range(len(f)):
+            g, s = first.setdefault(f[:t] + f[t + 1:], (f, t))
+            if g is not f:
+                if near[g][s] is not None:
+                    return None
+                near[g][s], near[f][t] = f, g
+    del first
+    through: list[list[Face]] = [[] for _ in range(len(complex_.table))]
+    done: set[Face] = set()
+    queue = collections.deque([facets[0]])
+    while queue:
+        f = queue.popleft()
+        if f is None or f in done:
+            continue
+        # R is empty for the first facet alone
+        r = frozenset(v for v, g in zip(f, near[f]) if g in done)
+        if r and any(map(r.issubset, through[min(r, key=lambda v: len(through[v]))])):
+            continue
+        done.add(f)
+        for v in f:
+            through[v].append(f)
+        queue.extend(near[f])
+    if len(done) < len(facets):
+        return None
+    return SimplicialComplex._on_ids(complex_.table, [
+        f[:t] + f[t + 1:] for f in facets for t, g in enumerate(near[f]) if g is None])
 
 
 def interior_faces(

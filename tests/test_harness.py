@@ -154,13 +154,13 @@ def test_large_non_ball_is_not_verified():
 
 def test_ball_basics_certifies_each_complex_once(monkeypatch):
     calls = []
-    certify = harness.is_homology_ball
+    certify = harness.shelled_boundary
 
     def counted(c):
         calls.append(c)
         return certify(c)
 
-    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    monkeypatch.setattr(harness, "shelled_boundary", counted)
     harness.ball_basics_reports("x", example_5_2_ball())
     assert len(calls) == 17
     assert harness._RUN_CACHE is None
@@ -205,7 +205,7 @@ def test_restriction_theta_matches_theta_of_the_restriction():
                 for face in base.faces():
                     if face:
                         expected = theta(tri.restriction(face).total)
-                        assert harness._restriction_ball(tri, face) == (expected, True), (
+                        assert harness._restriction_theta(tri, face) == expected, (
                             kind, name, base.labels_of(face))
 
 
@@ -217,8 +217,8 @@ def test_restriction_theta_certifies_each_carrier_pattern():
     carriers = {("a",): ("a",), ("b",): ("b",), ("x",): ("a", "b")}
     bad = Triangulation(simplex("ab"), total, carriers, validate=False)
     with harness._run_cache():
-        assert harness._restriction_ball(edge, edge.base.facets[0]) == (theta(simplex("ab")), True)
-        assert harness._restriction_ball(bad, bad.base.facets[0]) is None
+        assert harness._restriction_theta(edge, edge.base.facets[0]) == theta(simplex("ab"))
+        assert harness._restriction_theta(bad, bad.base.facets[0]) is None
         with pytest.raises(PreconditionError, match="not a verified homology ball"):
             harness._restriction_thetas(bad)
 
@@ -251,20 +251,19 @@ def test_carrier_pattern_counts_the_faces_of_the_restriction(name):
 
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
 def test_inherited_boundary_matches_is_homology_ball(name):
-    # the second route: every total over a certified ball that is not a
-    # simplex inherits a boundary equal, ids and all, to is_homology_ball's
+    # a total is certified exactly when its base is, with the boundary
+    # is_homology_ball computes, ids and all
     base = dict(corpus())[name]
     with harness._run_cache():
-        inherits = len(base.facets) > 1 and verified_boundary(base) is not None
+        base_bd = verified_boundary(base)
         for kind, _ in subdivision_kinds():
             tri = harness._built(kind, base)
-            inherited = harness._inherited_boundary(tri)
-            assert (inherited is not None) == inherits, kind
-            if inherited is not None:
-                expected = is_homology_ball(tri.total)
-                assert (inherited.table, inherited.facets) == (
+            expected = is_homology_ball(tri.total)
+            certified = verified_boundary(tri.total)
+            assert (certified is None) == (expected is None) == (base_bd is None), kind
+            if certified is not None:
+                assert (certified.table, certified.facets) == (
                     expected.table, expected.facets), kind
-                assert verified_boundary(tri.total) == expected, kind
 
 
 @pytest.mark.parametrize("base", [c for _, c in corpus()]
@@ -279,20 +278,30 @@ def test_h_of_the_carrier_index_matches_h_poly(base):
             assert harness._h(tri.total) == invariants.h_poly(tri.total), kind
 
 
-def test_run_suite_keeps_no_face_set_of_an_inherited_total():
-    # an inherited certificate needs no face set of the total, unless the
-    # total is the base of another built triangulation, whose validate reads
+def test_run_suite_keeps_no_face_set_of_a_built_total(monkeypatch):
+    # a shelling reads the facets alone, so certifying a built total builds
+    # no face set of it, and no built total holds one after the run unless
+    # it is the base of another built triangulation, whose validate reads
     # the base's faces as the allowed carriers; the carrier index keeps only
     # the faces of the largest size at each mask
+    filled, certify = [], harness.shelled_boundary
+
+    def shelled(c):
+        unbuilt = c._all_faces is None
+        bd = certify(c)
+        if unbuilt and c._all_faces is not None:
+            filled.append(c)
+        return bd
+
+    monkeypatch.setattr(harness, "shelled_boundary", shelled)
     with harness._run_cache():
         run_suite("all", seed=0)
         memo = harness._RUN_CACHE
-        made = [tri for (what, _), tri in memo.items() if what == "made by"]
-        inherited = [tri for tri in made if harness._inherited_boundary(tri) is not None]
         built = [tri for (what, _), tri in memo.items() if what == "tri"]
+        certified = [tri for tri in built if ("shelled", tri.total) in memo]
         bases = {id(tri.base) for tri in built}
-    assert inherited and built
-    assert [tri for tri in inherited if tri.total._all_faces is not None
+    assert certified and filled == []
+    assert [tri for tri in built if tri.total._all_faces is not None
             and id(tri.total) not in bases] == []
     for tri in built:
         for counts, _, top in tri._carrier_index().values():
@@ -300,8 +309,10 @@ def test_run_suite_keeps_no_face_set_of_an_inherited_total():
 
 
 def test_run_suite_certifies_no_total_over_a_non_simplex_base(monkeypatch):
-    totals, certified = set(), []
-    built, certify = harness._built, harness.is_homology_ball
+    # the reference checks run only where the shelling search stalls, and no
+    # built total stalls
+    totals, stalled, referred = set(), set(), []
+    built, shelled = harness._built, harness.shelled_boundary
 
     def recorded(kind, c):
         tri = built(kind, c)
@@ -309,15 +320,25 @@ def test_run_suite_certifies_no_total_over_a_non_simplex_base(monkeypatch):
             totals.add(tri.total.facet_labelsets())
         return tri
 
-    def counted(c, *args):
-        certified.append(c.facet_labelsets())
-        return certify(c, *args)
+    def searched(c):
+        bd = shelled(c)
+        if bd is None:
+            stalled.add(c.facet_labelsets())
+        return bd
+
+    def reference(check):
+        def counted(c, *args):
+            referred.append(c.facet_labelsets())
+            return check(c, *args)
+        return counted
 
     monkeypatch.setattr(harness, "_built", recorded)
-    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    monkeypatch.setattr(harness, "shelled_boundary", searched)
+    for name in ("is_homology_ball", "is_homology_sphere"):
+        monkeypatch.setattr(harness, name, reference(getattr(harness, name)))
     run_suite("all", seed=0)
-    assert totals and certified
-    assert not totals.intersection(certified)
+    assert totals and not totals.intersection(stalled)
+    assert set(referred) <= stalled and len(referred) <= 1
 
 
 def test_ear_refuses_the_inherited_certificate(monkeypatch):
@@ -333,10 +354,10 @@ def test_ear_refuses_the_inherited_certificate(monkeypatch):
     monkeypatch.setattr(harness, "subdivision_kinds", lambda: kinds)
     with harness._run_cache():
         assert harness._built("ear", base) is tri
-        balls = harness._at_faces(harness._restriction_ball, tri)
-        assert None not in balls
-        assert harness._restriction_ball(tri, base.face("abc"))[1] is False
-        assert harness._inherited_boundary(tri) is None
+        assert None not in harness._at_faces(harness._restriction_theta, tri)
+        disk = tri.restriction(base.face("abc")).total
+        assert frozenset("ab") not in verified_boundary(disk).facet_labelsets()
+        assert verified_boundary(base) is not None
         assert verified_boundary(tri.total) is None
     assert is_homology_ball(tri.total) is None
 
@@ -463,13 +484,13 @@ def test_scan_theta_zero_membership():
 
 def test_scan_theta_zero_certifies_each_ball_once(monkeypatch):
     calls = []
-    certify = harness.is_homology_ball
+    certify = harness.shelled_boundary
 
     def counted(c):
         calls.append(c)
         return certify(c)
 
-    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    monkeypatch.setattr(harness, "shelled_boundary", counted)
     scan_theta_zero([("x", example_5_2_ball())])
     assert len(calls) == 1
 
@@ -639,13 +660,16 @@ def test_run_memo_takes_equal_complexes_as_one_key(monkeypatch):
     assert forward == other and forward.facets != other.facets
     calls = []
 
+    certify = harness.shelled_boundary
+
     def counted(c):
         calls.append(c)
-        return is_homology_ball(c)
+        return certify(c)
 
-    monkeypatch.setattr(harness, "is_homology_ball", counted)
+    monkeypatch.setattr(harness, "shelled_boundary", counted)
     with harness._run_cache():
         assert verified_boundary(forward) == verified_boundary(other)
+        assert not harness._verified_sphere(other)
     assert calls == [forward]
 
 
@@ -671,28 +695,23 @@ def test_run_memo_compares_an_equal_key_once(monkeypatch):
 
 def test_run_suite_makes_and_certifies_each_instance_once(monkeypatch):
     # the generators' instances come from the run memo, and their ball and
-    # sphere checks are the run's certificates, taken once per complex
-    made, balls, spheres = [], [], []
-    make = InstanceGenerator._make
-    ball, sphere = harness.is_homology_ball, harness.is_homology_sphere
+    # sphere checks are the run's certificates, read off one shelling per
+    # complex
+    made, shelled = [], []
+    make, certify = InstanceGenerator._make, harness.shelled_boundary
 
     def counted_make(self, dim, index):
         made.append((self, dim, index))
         return make(self, dim, index)
 
-    def counted_ball(c):
-        balls.append(c.facet_labelsets())
-        return ball(c)
-
-    def counted_sphere(c):
-        spheres.append(c.facet_labelsets())
-        return sphere(c)
+    def counted_shelling(c):
+        shelled.append(c.facet_labelsets())
+        return certify(c)
 
     monkeypatch.setattr(InstanceGenerator, "_make", counted_make)
-    monkeypatch.setattr(harness, "is_homology_ball", counted_ball)
-    monkeypatch.setattr(harness, "is_homology_sphere", counted_sphere)
+    monkeypatch.setattr(harness, "shelled_boundary", counted_shelling)
     run_suite("all", seed=0, max_dim=2, samples=1)
-    for calls in (made, balls, spheres):
+    for calls in (made, shelled):
         repeated = [call for call, n in Counter(calls).items() if n > 1]
         assert calls and not repeated, repeated[:3]
 

@@ -34,9 +34,9 @@ from thetalab import (
     simplex,
     union,
 )
-from thetalab import homology
-from thetalab.harness import corpus, subdivision_kinds
-from thetalab.homology import _links_pass
+from thetalab import harness, homology
+from thetalab.harness import InstanceGenerator, corpus, subdivision_kinds
+from thetalab.homology import _links_pass, shelled_boundary
 
 EMPTY = SimplicialComplex.from_facets([()])
 
@@ -495,6 +495,76 @@ def test_mod_two_ball():
     c = _projective_plane().cone("apex")
     assert is_homology_ball(c) is None
     assert is_homology_ball(c, 2) is None
+
+
+# -------------------------------------------------------------- shellings
+
+
+def _shelled_as_reference(c) -> bool:
+    """Whether the search shelled c.  A shelled verdict must be the
+    reference's: a sphere, with a void boundary, or a ball with
+    is_homology_ball's boundary, ids and table included."""
+    bd = shelled_boundary(c)
+    if bd is None:
+        return False
+    expected = is_homology_ball(c)
+    assert is_homology_sphere(c) == bd.is_void == (expected is None)
+    if expected is not None:
+        assert (bd.table, bd.facets) == (expected.table, expected.facets)
+    return True
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus()])
+def test_shelling_matches_the_reference_on_corpus_triangulations(name):
+    # every total and every restriction to a nonempty face is shelled
+    base = dict(corpus())[name]
+    for kind, make in subdivision_kinds():
+        tri = make(base)
+        for face in base.faces():
+            c = tri.restriction(face).total if face else tri.total
+            assert _shelled_as_reference(c), (kind, base.labels_of(face))
+
+
+def test_shelling_matches_the_reference_on_generated_instances():
+    for klass in ("ball", "sphere", "flag-ball", "flag-sphere", "CM"):
+        shelled = [_shelled_as_reference(c)
+                   for _, c in InstanceGenerator(1, klass).instances(2)]
+        assert klass == "CM" or all(shelled), klass
+
+
+def _annulus():
+    """Eight triangles between the 4-cycles a0..a3 and b0..b3."""
+    return SimplicialComplex.from_facets(
+        [f for i in range(4) for f in ((f"a{i}", f"a{(i + 1) % 4}", f"b{i}"),
+                                       (f"a{(i + 1) % 4}", f"b{i}", f"b{(i + 1) % 4}"))])
+
+
+STALLED = {
+    "empty": EMPTY,
+    "pinched": SimplicialComplex.from_facets([("a", "b", "x"), ("x", "c", "d")]),
+    "disjoint": SimplicialComplex.from_facets([("a", "b", "c"), ("d", "e", "f")]),
+    "not pure": SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d")]),
+    "ear": SimplicialComplex.from_facets(["abc", "axb", "abd"]),
+    "projective plane": _projective_plane(),
+    "cone over the projective plane": _projective_plane().cone("apex"),
+    "annulus": _annulus(),
+    "Moebius band": _moebius_band(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STALLED))
+def test_shelling_stalls_and_the_reference_answers(name):
+    # a stalled search proves nothing: the harness asks the reference
+    c = STALLED[name]
+    assert shelled_boundary(c) is None
+    with harness._run_cache():
+        assert harness.verified_boundary(c) == is_homology_ball(c)
+        assert harness._verified_sphere(c) == is_homology_sphere(c)
+
+
+def test_shelling_rejects_the_void_complex():
+    with pytest.raises(PreconditionError):
+        shelled_boundary(SimplicialComplex.from_facets([]))
 
 
 # -------------------------------------------------------- Cohen-Macaulay

@@ -37,7 +37,12 @@ from thetalab import (
     write_triangulation_file,
 )
 from thetalab.harness import corpus, subdivision_kinds, triangulation_theta_flags
-from thetalab.homology import boundary_subcomplex
+from thetalab.homology import (
+    boundary_subcomplex,
+    is_homology_ball,
+    is_homology_sphere,
+    shelled_boundary,
+)
 from thetalab.subdivisions import (
     _ids,
     _mask,
@@ -676,6 +681,21 @@ def test_euler_characteristic_from_the_faces_carried_at_one_mask(data):
         if named:
             labels = tuple(re.findall(r"'([^']*)'", named[1]))
             assert int(named[2]) == euler[_mask(candidate.base._face_arg(labels))] != 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shelling_matches_the_reference_on_perturbed_triangulations(data):
+    # a shelled total or restriction is a sphere, with a void boundary, or a
+    # ball with is_homology_ball's boundary, ids and table included
+    candidate = _draw_candidate(data)
+    for face in candidate.base.faces():
+        c = candidate.restriction(face).total if face else candidate.total
+        bd = None if c.is_void else shelled_boundary(c)
+        if bd is not None:
+            expected = is_homology_ball(c)
+            assert is_homology_sphere(c) == bd.is_void == (expected is None)
+            assert bd.is_void or (bd.table, bd.facets) == (expected.table, expected.facets)
 
 
 # One hand-built triangulation per validate message; the base, the total
