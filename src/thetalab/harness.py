@@ -268,7 +268,6 @@ class BaseProfile:
     is_sphere: bool
     is_cm: bool
     is_cm_star: bool
-    is_flag: bool
 
     @property
     def is_ball(self) -> bool:
@@ -281,7 +280,7 @@ def base_profile(c: SimplicialComplex) -> BaseProfile:
         sphere = _verified_sphere(c)
         cm = is_cohen_macaulay(c)
         cm_star = is_cohen_macaulay_star(c) if cm else False
-        return BaseProfile(bd, sphere, cm, cm_star, c.is_flag())
+        return BaseProfile(bd, sphere, cm, cm_star)
 
     return _cached("profile", c, compute)
 
@@ -498,16 +497,6 @@ def _centered_unimodal(p: IntPoly, n: int) -> bool:
     return all(c[i] <= c[i + 1] for i in range(n // 2))
 
 
-def _interior_counts(c: SimplicialComplex, bd: SimplicialComplex) -> tuple[int, int]:
-    verts = edges = 0
-    for labels in interior_faces(c, bd):
-        if len(labels) == 1:
-            verts += 1
-        elif len(labels) == 2:
-            edges += 1
-    return verts, edges
-
-
 @_run_cache()
 def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
     """Symmetry, closed forms, positivity, and the symmetric decomposition of h.
@@ -523,7 +512,8 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
     th = theta_verified(c)
     hp = _h(c)
     hbd = _h(bd)
-    r, interior_edges = _interior_counts(c, bd)
+    r = len(c.vertices) - len(bd.vertices)
+    interior_edges = len(c.faces_of_dim(1)) - len(bd.faces_of_dim(1))
 
     sym_ok = reverse(th, n) == th and th[0] == 0 and th[1] == r - 1
     out.append(VerificationReport(
@@ -989,6 +979,9 @@ def _grow_flag_sphere(rng: random.Random, dim: int,
     return c
 
 
+MAX_INSTANCE_VERTICES = 12  # cap on the vertex budget of a generated instance
+
+
 @dataclasses.dataclass(frozen=True)
 class InstanceGenerator:
     """Seeded stream of verified random complexes of one class.
@@ -1001,7 +994,6 @@ class InstanceGenerator:
     seed: int
     klass: str
     max_dim: int = 3
-    max_vertices: int = 12
 
     def _one(self, dim: int, index: int) -> SimplicialComplex:
         """The instance at (dim, index), made and certified once per run."""
@@ -1009,7 +1001,7 @@ class InstanceGenerator:
 
     def _make(self, dim: int, index: int) -> SimplicialComplex:
         rng = _rng(self.seed, self.klass, dim, index)
-        budget = min(self.max_vertices, dim + 2 + rng.randint(1, 5))
+        budget = min(MAX_INSTANCE_VERTICES, dim + 2 + rng.randint(1, 5))
         if self.klass == "ball":
             c = _grow_ball(rng, dim, budget)
             if verified_boundary(c) is None:

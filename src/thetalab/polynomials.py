@@ -1,15 +1,15 @@
 """Integer polynomials in one variable and the shape predicates used here.
 
-Everything is exact: coefficients are Python integers, root counting uses
-Sturm chains over the rationals.  Polynomials are immutable; the zero
+Everything is exact: coefficients are Python integers, and root counting
+uses one Sturm chain kept in integers.  Polynomials are immutable; the zero
 polynomial has degree None.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -273,94 +273,47 @@ def symmetric_decomposition(p: IntPoly, n: int) -> SymmetricDecomposition:
 # ------------------------------------------------------------- real roots
 
 
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of polynomial division over the rationals."""
-    rem = num[:]
-    dn = len(den) - 1
-    lead = den[-1]
-    while len(rem) - 1 >= dn and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dn:
-            break
-        factor = rem[-1] / lead
-        shift = len(rem) - 1 - dn
-        for i, d in enumerate(den):
-            rem[shift + i] -= factor * d
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+def _sturm_chain(c: list[int]) -> list[list[int]]:
+    """The Sturm chain c, c', ... of an integer polynomial; its last term is a
+    multiple of gcd(c, c').
 
-
-def _sign_at_infinity(c: list[Fraction], positive: bool) -> int:
-    lead = c[-1]
-    if positive:
-        return 1 if lead > 0 else -1
-    return (1 if lead > 0 else -1) * (1 if (len(c) - 1) % 2 == 0 else -1)
-
-
-def _sturm_real_root_count(c: list[Fraction]) -> int:
-    """Distinct real roots of a squarefree polynomial, via sign variations."""
-    chain = [c, [Fraction(i) * v for i, v in enumerate(c)][1:]]
-    while len(chain[-1]) > 1 or (chain[-1] and chain[-1][0] != 0):
-        rem = _frac_divmod(chain[-2], chain[-1])
+    Each next term is a positive multiple of -(a mod b): every elimination
+    step scales the remainder by |lead(b)| before it subtracts, and the
+    content is divided out, so each term has its rational counterpart's signs.
+    """
+    chain = [c, [i * v for i, v in enumerate(c)][1:]]
+    while True:
+        rem, b = chain[-2][:], chain[-1]
+        scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(rem) >= len(b):
+            q, k = sign * rem[-1], len(rem) - len(b)
+            rem = [scale * v for v in rem]
+            for i, d in enumerate(b):
+                rem[k + i] -= q * d
+            while rem and rem[-1] == 0:
+                rem.pop()
         if not rem:
-            break
-        chain.append([-v for v in rem])
-    chain = [p for p in chain if p]
-
-    def variations(positive: bool) -> int:
-        signs = [_sign_at_infinity(p, positive) for p in chain]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(False) - variations(True)
+            return chain
+        g = math.gcd(*rem)
+        chain.append([-v // g for v in rem])
 
 
 def is_real_rooted(p: IntPoly) -> bool:
-    """Whether all complex roots are real; constants and zero count as such."""
-    if p.is_zero() or p.degree == 0:
+    """Whether all complex roots are real; constants and zero count as such.
+
+    The Sturm chain's sign changes at -inf and +inf differ by the number of
+    distinct real roots, and its last term is gcd(p, p'), so p is real-rooted
+    exactly when that number is deg p - deg gcd(p, p').
+    """
+    if p.degree is None or p.degree == 0:
         return True
-    c = list(p.coeffs)
-    k = 0
-    while c[k] == 0:
-        k += 1
-    c = c[k:]  # roots at the origin are real
-    if len(c) == 1:
-        return True
-    f = [Fraction(v) for v in c]
-    # squarefree part f / gcd(f, f')
-    g = _frac_gcd(f, [Fraction(i) * v for i, v in enumerate(f)][1:])
-    sf = _frac_div_exact(f, g)
-    return _sturm_real_root_count(sf) == len(sf) - 1
+    chain = _sturm_chain(list(p.coeffs))
 
+    def variations(at: int) -> int:
+        signs = [(1 if t[-1] > 0 else -1) * at ** (len(t) - 1) for t in chain]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = a[:], b[:]
-    while b and any(b):
-        a, b = b, _frac_divmod(a, b)
-    lead = a[-1]
-    return [v / lead for v in a]
-
-
-def _frac_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    rem = num[:]
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(rem) <= dn:
-        if any(rem):
-            raise ConsistencyError("inexact polynomial division where exactness was promised")
-        return []
-    out = [Fraction(0)] * (len(rem) - dn)
-    for pos in range(len(rem) - 1, dn - 1, -1):
-        factor = rem[pos] / lead
-        out[pos - dn] = factor
-        if factor:
-            for i, d in enumerate(den):
-                rem[pos - dn + i] -= factor * d
-    if any(rem):
-        raise ConsistencyError("inexact polynomial division where exactness was promised")
-    return out
+    return variations(-1) - variations(1) == len(chain[0]) - len(chain[-1])
 
 
 # ----------------------------------------------------- subdivision transform

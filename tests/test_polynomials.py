@@ -8,7 +8,7 @@ brute-force permutation counting.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from thetalab import (
     ConsistencyError,
@@ -261,6 +261,8 @@ def test_not_real_rooted():
     assert not is_real_rooted(P((1, 0, 1)))
     assert not is_real_rooted(P((1, 1, 1)))
     assert not is_real_rooted(P((0, 1, 0, 0, 1)))  # x(x^3+1) has two complex roots
+    assert not is_real_rooted(P((0, 0, 1, 0, 1)))  # x^2 (x^2+1)
+    assert not is_real_rooted(P((-1, 1)) ** 3 * P((1, 1, 1)))  # (x-1)^3 (x^2+x+1)
 
 
 def test_real_rooted_with_repeated_factors():
@@ -405,3 +407,15 @@ def test_property_products_of_linear_factors_are_real_rooted(roots):
     for r in roots:
         p = p * P((r, 1))
     assert is_real_rooted(p)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), max_size=5),
+       st.integers(-4, 4), st.integers(1, 8))
+def test_property_complex_pair_times_linear_factors_is_not_real_rooted(factors, b, c):
+    """Repeated real roots do not hide a complex pair from the chain."""
+    assume(b * b < 4 * c)
+    p = P((c, b, 1))
+    for r, s in factors:
+        p = p * P((r, s))
+    assert not is_real_rooted(p)
