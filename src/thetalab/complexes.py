@@ -140,8 +140,7 @@ class SimplicialComplex:
     complexes built along different routes agree whenever their faces agree.
     """
 
-    __slots__ = ("_table", "_facets", "_dim", "_all_faces", "_by_dim",
-                 "_hash", "_stars")
+    __slots__ = ("_table", "_facets", "_dim", "_all_faces", "_hash")
 
     def __init__(self, table: LabelTable, facets: tuple[Face, ...]):
         # Internal constructor: `from_facets` is the validated entry point.
@@ -149,9 +148,7 @@ class SimplicialComplex:
         self._facets = facets
         self._dim = max(map(len, facets)) - 1 if facets else None
         self._all_faces: frozenset[Face] | None = None
-        self._by_dim: dict[int, tuple[Face, ...]] | None = None
         self._hash: int | None = None
-        self._stars: list[list[Face]] | None = None
 
     @classmethod
     def from_facets(cls, facets: Iterable[Iterable], labels=None) -> "SimplicialComplex":
@@ -246,24 +243,21 @@ class SimplicialComplex:
         return frozenset(acc)
 
     def faces_of_dim(self, d: int) -> tuple[Face, ...]:
-        if self._by_dim is None:
-            by_dim: dict[int, list[Face]] = {}
-            for f in self.faces():
-                by_dim.setdefault(len(f) - 1, []).append(f)
-            self._by_dim = {d_: tuple(sorted(fs)) for d_, fs in by_dim.items()}
-        return self._by_dim.get(d, ())
+        """The faces of dimension d, sorted."""
+        return tuple(sorted(f for f in self.faces() if len(f) == d + 1))
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_{dim}); the void complex has the empty f-vector."""
         if self.is_void:
             return ()
-        return tuple(len(self.faces_of_dim(d)) for d in range(-1, self.dim + 1))
+        counts = [0] * (self._dim + 2)
+        for f in self.faces():
+            counts[len(f)] += 1
+        return tuple(counts)
 
     def reduced_euler(self) -> int:
         """Alternating face count, with the empty face contributing -1."""
-        if self.is_void:
-            return 0
-        return sum((-1) ** d * len(self.faces_of_dim(d)) for d in range(-1, self.dim + 1))
+        return -sum((-1) ** i * n for i, n in enumerate(self.f_vector()))
 
     def __contains__(self, face: Face) -> bool:
         return tuple(face) in self.faces()
@@ -282,33 +276,22 @@ class SimplicialComplex:
 
     # ------------------------------------------------------------ operations
 
-    def _star_index(self) -> list[list[Face]]:
-        """For each vertex id, the facets containing it."""
-        if self._stars is None:
-            stars: list[list[Face]] = [[] for _ in range(len(self._table))]
-            for facet in self._facets:
-                for v in facet:
-                    stars[v].append(facet)
-            self._stars = stars
-        return self._stars
-
     def link(self, face) -> "SimplicialComplex":
         """The link of a face, given as ids or as labels."""
         return self._link_ids(self._face_arg(face))
 
     def _link_ids(self, face: Face) -> "SimplicialComplex":
-        """The link of an id face of this complex, from the cached star index.
+        """The link of an id face of this complex.
 
         Its facets are F minus the face for the facets F containing the face,
-        distinct and maximal because the F are; its label table keeps this
-        complex's id order.  The empty face's link is this complex itself,
-        with its cached faces.  The face is not validated again.
+        found by one scan of the facets, and distinct and maximal because the
+        F are; its label table keeps this complex's id order.  The empty
+        face's link is this complex itself, with its cached faces.  The face
+        is not validated again.
         """
         if not face:
             return self
-        stars = self._star_index()
-        star = [f for f in stars[min(face, key=lambda v: len(stars[v]))]
-                if all(v in f for v in face)]
+        star = [f for f in self._facets if all(v in f for v in face)]
         return SimplicialComplex._on_ids(
             self._table, [tuple(v for v in f if v not in face) for f in star])
 

@@ -497,6 +497,12 @@ def _centered_unimodal(p: IntPoly, n: int) -> bool:
     return all(c[i] <= c[i + 1] for i in range(n // 2))
 
 
+def _edge_count(c: SimplicialComplex) -> int:
+    """The number of edges: the distinct 2-subsets of the facets, counted
+    without filling the complex's face set."""
+    return len({e for f in c.facets for e in itertools.combinations(f, 2)})
+
+
 @_run_cache()
 def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
     """Symmetry, closed forms, positivity, and the symmetric decomposition of h.
@@ -513,7 +519,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
     hp = _h(c)
     hbd = _h(bd)
     r = len(c.vertices) - len(bd.vertices)
-    interior_edges = len(c.faces_of_dim(1)) - len(bd.faces_of_dim(1))
+    interior_edges = _edge_count(c) - _edge_count(bd)
 
     sym_ok = reverse(th, n) == th and th[0] == 0 and th[1] == r - 1
     out.append(VerificationReport(

@@ -144,15 +144,20 @@ def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProf
     """Reduced homology ranks of the augmented chain complex, reduced from
     the top dimension down with clearing (Chen and Kerber, 2011): a face that
     was a pivot row of the map above is left out, since with rows and columns
-    in one faces_of_dim order its column would reduce to zero."""
+    in one sorted order its column would reduce to zero."""
     field = _validate_field(field)
     if complex_.is_void:
         raise PreconditionError("homology of the void complex is undefined")
-    by_dim = [complex_.faces_of_dim(d) for d in range(-1, complex_.dim + 1)]
+    # by_dim[j]: the faces of size j, sorted, grouped in one pass
+    by_dim: list[list[Face]] = [[] for _ in range(complex_.dim + 2)]
+    for f in complex_.faces():
+        by_dim[len(f)].append(f)
+    for faces in by_dim:
+        faces.sort()
     # ranks[j] is the rank of the boundary map out of by_dim[j]; the
     # augmentation has rank 1 and the edge map's comes from union-find, over
     # every field, so only the maps out of triangles and up are eliminated
-    ranks = [0, 1, _graph_rank(complex_.faces_of_dim(1))][:len(by_dim)]
+    ranks = [0, 1, _graph_rank(by_dim[2]) if complex_.dim >= 1 else 0][:len(by_dim)]
     ranks += [0] * (len(by_dim) + 1 - len(ranks))
     cleared: set[int] = set()
     for j in range(len(by_dim) - 1, 2, -1):

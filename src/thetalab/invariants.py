@@ -41,12 +41,7 @@ def _h_of_counts(counts: list[int]) -> IntPoly:
 
 def h_poly(complex_: SimplicialComplex) -> IntPoly:
     """The h-polynomial; zero for the void complex, one for the empty complex."""
-    if complex_.is_void:
-        return IntPoly.zero()
-    counts = [0] * (complex_.dim + 2)
-    for face in complex_.faces():
-        counts[len(face)] += 1
-    return _h_of_counts(counts)
+    return _h_of_counts(list(complex_.f_vector()))
 
 
 def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 """Complex construction, face queries, operations, and the facet file format."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from thetalab import (
     write_facet_file,
 )
 from thetalab.complexes import format_facet_text
+from thetalab.homology import betti
 
 VOID = SimplicialComplex.from_facets([])
 EMPTY = SimplicialComplex.from_facets([()])
@@ -217,6 +220,27 @@ def test_equality_and_hash_follow_facet_label_sets(first, second):
             assert (x == y) == (x.facet_labelsets() == y.facet_labelsets())
             if x == y:
                 assert hash(x) == hash(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(_LABELS), max_size=5), max_size=6))
+def test_face_readers_agree_with_the_face_set(facets):
+    # a random complex, void and empty included, and its reversed-table copy
+    c = SimplicialComplex.from_facets(facets)
+    reversed_ = _reversed_table(c)
+    for x in (c, reversed_):
+        faces = x.faces()
+        top = -2 if x.is_void else x.dim
+        for d in range(-1, top + 2):
+            assert x.faces_of_dim(d) == tuple(sorted(f for f in faces if len(f) == d + 1))
+        sizes = Counter(len(f) for f in faces)
+        assert x.f_vector() == tuple(sizes[i] for i in range(top + 2))
+        assert x.reduced_euler() == sum((-1) ** (i - 1) * n for i, n in sizes.items())
+        for face in faces:
+            assert x.link(face) == _link_by_labels(x, x.labels_of(face))
+    if not c.is_void:
+        for p in (None, 2):
+            assert betti(c, p) == betti(reversed_, p)
 
 
 def test_union_and_subcomplex_predicates():

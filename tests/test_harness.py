@@ -174,6 +174,33 @@ def test_ball_basics_certifies_each_complex_once(monkeypatch):
     assert calls.count(ball) == 1
 
 
+def test_reference_fallback_certifies_a_ball_and_a_sphere(monkeypatch):
+    # with every shelling search stalled, is_homology_ball and
+    # is_homology_sphere decide, and one run's memo asks each of them once
+    calls = Counter()
+
+    def counted(name):
+        reference = getattr(harness, name)
+
+        def call(c):
+            calls[name, c] += 1
+            return reference(c)
+        return call
+
+    monkeypatch.setattr(harness, "shelled_boundary", lambda c: None)
+    for name in ("is_homology_ball", "is_homology_sphere"):
+        monkeypatch.setattr(harness, name, counted(name))
+    ball, sphere = example_5_2_ball(), octahedron()
+    expected = is_homology_ball(ball)
+    with harness._run_cache():
+        for _ in range(2):
+            bd = verified_boundary(ball)
+            assert (bd.table, bd.facets) == (expected.table, expected.facets)
+            assert harness._verified_sphere(sphere) is True
+    assert calls == Counter({("is_homology_ball", ball): 1,
+                             ("is_homology_sphere", sphere): 1})
+
+
 @pytest.mark.parametrize("name", [name for name, _ in corpus()])
 def test_restriction_local_h_matches_rebuilt_restrictions(name):
     base = dict(corpus())[name]
