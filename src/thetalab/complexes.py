@@ -112,20 +112,18 @@ def _as_id_face(face: Iterable[int]) -> Face:
 
 def _maximal(faces: Iterable[Face]) -> list[Face]:
     # distinct faces of equal size never contain one another, so domination
-    # is only tested against the strictly larger faces already kept
+    # is only tested against the strictly larger faces already kept, whose
+    # sets are built when the size changes (never, for faces of one size)
     ordered = sorted(set(faces), key=lambda f: (-len(f), f))
     kept: list[Face] = []
     kept_sets: list[frozenset[int]] = []
-    larger = 0
     cur_len: int | None = None
     for f in ordered:
         if len(f) != cur_len:
-            larger = len(kept)
+            kept_sets = list(map(frozenset, kept))
             cur_len = len(f)
-        fs = frozenset(f)
-        if not any(fs <= kept_sets[i] for i in range(larger)):
+        if not any(s.issuperset(f) for s in kept_sets):
             kept.append(f)
-            kept_sets.append(fs)
     return kept
 
 
@@ -402,10 +400,15 @@ def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 
 def is_subcomplex(inner: SimplicialComplex, outer: SimplicialComplex) -> bool:
+    """Whether every face of inner is a face of outer, matched by label."""
     if inner.is_void:
         return True
-    outer_faces = outer.face_labelsets()
-    return all(frozenset(inner.labels_of(f)) in outer_faces for f in inner.facets)
+    if not all(map(outer.table.__contains__, inner.vertex_labels)):
+        return False
+    to_outer = [outer.table.id(lab) for lab in inner.vertex_labels]
+    outer_faces = outer._face_set()
+    return all(tuple(sorted(map(to_outer.__getitem__, f))) in outer_faces
+               for f in inner.facets)
 
 
 def is_induced_subcomplex(inner: SimplicialComplex, outer: SimplicialComplex) -> bool:

@@ -10,9 +10,11 @@ carrier, and a higher face may be given one only if it equals the union.
 
 Each Triangulation caches one carrier index: per carrier mask, the counts by
 size of the faces carried there, their vertices and their largest faces.
-validate checks the faces grouped by mask and size, then keeps the index.
-Local h of a restriction sums its counts (see invariants), and the harness
-reads h and restriction patterns from it without filling the face cache.
+validate enumerates the faces once, level by level from the facets, grouped
+by mask and size: each level's subfaces are both the next level and its
+purity witnesses.  It names the first violation in a fixed order and keeps
+the index.  Local h of a restriction sums its counts (see invariants), and
+the harness reads h and restriction patterns from it, filling no face cache.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -153,21 +155,34 @@ class Triangulation:
             mask |= vmask[v]
         return mask
 
-    def _grouped(self) -> dict[int, list[list[Face]]]:
+    def _grouped(self) -> tuple[dict[int, list[list[Face]]], dict]:
         """The total's faces by carrier mask and size, dim + 2 lists per mask,
-        vertices in id order; the total's face cache is not filled."""
-        width = 0 if self._total.is_void else self._total.dim + 2
+        vertices in id order, and below[m, k]: the faces of size k in a face
+        of size k + 1 carried at m.  Faces are enumerated once, from the
+        facets down: each level is grouped by mask, and its below entries,
+        with the facets one size smaller, make the next level."""
+        total, vmask = self._total, self._vmask
+        width = 0 if total.is_void else total.dim + 2
         groups: dict[int, list[list[Face]]] = {}
-        for face in self._total._face_set():
-            mask = self._carrier_mask(face)
-            lists = groups.get(mask)
-            if lists is None:
-                lists = groups[mask] = [[] for _ in range(width)]
-            lists[len(face)].append(face)
-        if width > 1:
-            for lists in groups.values():
-                lists[1].sort()
-        return groups
+        below: dict[tuple[int, int], set[Face]] = {}
+        level: set[Face] = set()
+        for k in range(width - 1, -1, -1):
+            level.update(f for f in total.facets if len(f) == k)
+            for face in sorted(level) if k == 1 else level:
+                mask = 0
+                for v in face:
+                    mask |= vmask[v]
+                lists = groups.get(mask)
+                if lists is None:
+                    lists = groups[mask] = [[] for _ in range(width)]
+                lists[k].append(face)
+            level = set()
+            for mask, lists in groups.items():
+                if k and lists[k]:
+                    below[mask, k - 1] = sub = set(itertools.chain.from_iterable(
+                        map(itertools.combinations, lists[k], itertools.repeat(k - 1))))
+                    level |= sub
+        return groups, below
 
     def _carrier_index(self) -> dict[int, tuple]:
         """Per carrier mask m, (counts, vertices, top): counts[k] faces of size
@@ -175,7 +190,7 @@ class Triangulation:
         ids in id order; the faces of the top size.  Kept by validate, or
         built on first use."""
         if self._index is None:
-            self._index = _slim(self._grouped())
+            self._index = _slim(self._grouped()[0])
         return self._index
 
     def carrier_of(self, face) -> Face:
@@ -204,11 +219,10 @@ class Triangulation:
         the empty carrier), this checks that the restriction to every base
         face is pure of the right dimension and has the Euler characteristic
         of a ball, with vertices restricting to single points.  On the
-        faces grouped by carrier, a first pass checks carriers and lists each
-        mask's faces one vertex smaller than a face carried there; a second
-        checks dimensions and purity mask by mask, then full dimension and
-        the Euler characteristic of each base face, smallest first, from its
-        own mask.  The grouping then gives the carrier index.
+        grouping, a first pass checks carriers; a second checks dimensions and
+        purity mask by mask against the below entries; a third checks full
+        dimension and the Euler characteristic of each base face.  Masks go by
+        size, then mask, and faces in id order.  The grouping gives the index.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:
@@ -220,22 +234,18 @@ class Triangulation:
                 "only the empty face may have an empty carrier"
             )
         base_masks = {_mask(f) for f in base.faces()}
-        groups = self._grouped()
-        # the faces one vertex smaller than a face carried at each base face
-        below: dict[int, set[Face]] = {m: set() for m in base_masks}
-        for mask, lists in groups.items():
-            if mask not in base_masks:
-                face = next(itertools.chain.from_iterable(lists))
-                raise InvalidTriangulationError(
-                    f"carrier {_mask_labels(base, mask)} of"
-                    f" {sorted(total.labels_of(face))} is not a face of the base"
-                )
-            for k, faces in enumerate(lists[2:], 1):
-                below[mask].update(itertools.chain.from_iterable(
-                    map(itertools.combinations, faces, itertools.repeat(k))))
-        # the base faces one vertex larger than each base face
+        groups, below = self._grouped()
+        stray = set(groups) - base_masks
+        if stray:
+            mask = min(stray, key=lambda m: (m.bit_count(), m))
+            face = min(next(filter(None, groups[mask])))
+            raise InvalidTriangulationError(
+                f"carrier {_mask_labels(base, mask)} of"
+                f" {sorted(total.labels_of(face))} is not a face of the base"
+            )
+        # the base faces one vertex larger than each base face, by mask
         wider: dict[int, list[int]] = {}
-        for fmask in base_masks:
+        for fmask in sorted(base_masks):
             for b in _ids(fmask):
                 wider.setdefault(fmask ^ 1 << b, []).append(fmask)
         # a face m lies in the restriction to every base face containing
@@ -244,8 +254,9 @@ class Triangulation:
         # |m| < |sigma(m)|) or to some W = sigma(m) + w (when |m| = |sigma(m)|).
         # Its cofaces are carried at sigma(m) or above, and none of them at
         # sigma(m) in the second case (the dimension check), so inside
-        # sigma(m) they are below[sigma(m)] and inside W they are below[W]
-        for mask, lists in groups.items():
+        # sigma(m) they are below[sigma(m), |m|] and inside W below[W, |m|]
+        for mask in sorted(groups, key=lambda m: (m.bit_count(), m)):
+            lists = groups[mask]
             size = mask.bit_count()
             if any(lists[size + 1:]):
                 raise InvalidTriangulationError(
@@ -254,11 +265,12 @@ class Triangulation:
                 )
             for k, faces in enumerate(lists[1:size + 1], 1):
                 targets = (mask,) if k < size else wider.get(mask, ())
-                if all(below[w].issuperset(faces) for w in targets):
+                witnesses = [below.get((w, k), frozenset()) for w in targets]
+                if all(got.issuperset(faces) for got in witnesses):
                     continue
-                for face in faces:
-                    for w in targets:
-                        if face not in below[w]:
+                for face in sorted(faces):
+                    for w, got in zip(targets, witnesses):
+                        if face not in got:
                             raise InvalidTriangulationError(
                                 f"restriction to {_mask_labels(base, w)} is not"
                                 f" pure: {sorted(total.labels_of(face))} is maximal"

@@ -243,6 +243,26 @@ def test_face_readers_agree_with_the_face_set(facets):
             assert betti(c, p) == betti(reversed_, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_built_twice(), st.data())
+def test_is_subcomplex_follows_the_face_label_sets(outers, data):
+    # inner takes faces of the first copy of outer, and sometimes other label
+    # sets, "g" among them, which outer never has; the second copy orders its
+    # table differently
+    faces = sorted(outers[0].face_labelsets(), key=sorted)
+    drawn = data.draw(st.lists(st.sampled_from(faces), max_size=4) if faces else st.just([]))
+    extra = data.draw(st.lists(st.sets(st.sampled_from(_LABELS + ("g",)), max_size=3),
+                               max_size=2))
+    for facets in (drawn, drawn + extra):
+        inner = SimplicialComplex.from_facets(facets)
+        for outer in outers:
+            expected = all(frozenset(inner.labels_of(f)) in outer.face_labelsets()
+                           for f in inner.facets)
+            assert is_subcomplex(inner, outer) == expected
+    assert is_subcomplex(VOID, outers[0]) and is_subcomplex(EMPTY, outers[1]) == (
+        not outers[1].is_void)
+
+
 def test_union_and_subcomplex_predicates():
     left = simplex(["a", "b"])
     right = simplex(["b", "c"])

@@ -799,6 +799,58 @@ def test_carrier_index_of_perturbed_triangulations(tri):
         _check_carrier_index(candidate)
 
 
+@pytest.mark.parametrize("tri", _SMALL_TRIANGULATIONS)
+def test_validate_agrees_with_per_restriction_rule_on_every_perturbation(tri):
+    # the deterministic complement of the Hypothesis test above: every
+    # candidate _draw_candidate can draw from tri
+    for candidate in _perturbations(tri):
+        assert _rejects(Triangulation.validate, candidate) == _rejects(
+            _per_restriction_validate, candidate)
+
+
+def _labels(text):
+    return tuple(re.findall(r"'([^']*)'", text))
+
+
+def _named_violation_holds(tri, message):
+    """Whether the violation a validate message names holds, checked by brute
+    force on the triangulation or on the restriction the message names."""
+    base, total = tri.base, tri.total
+    if message == "exactly one of base and total is void":
+        return base.is_void != total.is_void
+    if message == "only the empty face may have an empty carrier":
+        return any(tri.carrier_labels((v,)) == () for v in total.vertex_labels)
+    named = re.fullmatch(r"carrier (\[.*?\]) of (\[.*?\]) is not a face of the base",
+                         message)
+    if named:
+        carrier, face = map(_labels, named.groups())
+        return (tri.carrier_labels(face) == carrier
+                and frozenset(carrier) not in base.face_labelsets())
+    named = re.fullmatch(r"restriction to (\[.*?\]) (.*)", message)
+    where = base.face(_labels(named[1]))
+    sub = tri.restriction(where).total
+    faces = {frozenset(sub.labels_of(f)) for f in sub.faces()}
+    if named[2] == f"has a face of dimension above dim {len(where) - 1}":
+        return max(map(len, faces)) > len(where)
+    if named[2] == "has no face of full dimension":
+        return all(len(f) < len(where) for f in faces)
+    euler = re.fullmatch(r"has reduced Euler characteristic (-?\d+), expected 0", named[2])
+    if euler:
+        return sub.reduced_euler() == int(euler[1]) != 0
+    maximal = re.fullmatch(r"is not pure: (\[.*?\]) is maximal", named[2])
+    face = frozenset(_labels(maximal[1]))
+    return face in sub.facet_labelsets() and len(face) < len(where)
+
+
+@pytest.mark.parametrize("tri", _SMALL_TRIANGULATIONS)
+def test_every_rejection_names_a_violation_that_holds(tri):
+    for candidate in _perturbations(tri):
+        try:
+            candidate.validate()
+        except InvalidTriangulationError as exc:
+            assert _named_violation_holds(candidate, str(exc)), str(exc)
+
+
 # ---------------------------------------------- a non-subdivision validate accepts
 
 
