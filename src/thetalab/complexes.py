@@ -11,6 +11,7 @@ under every invariant downstream, so conflating them is always a bug.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Iterable
 
@@ -34,7 +35,7 @@ def _validate_label(label: str) -> str:
         raise MalformedFaceError(f"vertex label must be a nonempty string, got {label!r}")
     if label in (_EMPTY_FACE_TOKEN, _SECTION_TOKEN, _ARROW) or label.startswith(_COMMENT):
         raise MalformedFaceError(f"label {label!r} collides with facet file syntax")
-    if any(ch.isspace() for ch in label):
+    if any(map(str.isspace, label)):
         raise MalformedFaceError(f"label {label!r} contains whitespace")
     return label
 
@@ -73,11 +74,11 @@ class LabelTable:
     def labels_of(self, face: Face) -> tuple[str, ...]:
         return tuple(self._labels[v] for v in face)
 
-    def _restricted(self, vids: Iterable[int]) -> "LabelTable":
-        """The table of the given ids' labels, in the order given; they are
-        valid and distinct already, so they are not validated again."""
-        table = LabelTable.__new__(LabelTable)
-        table._labels = self.labels_of(vids)
+    @classmethod
+    def _of_valid(cls, labels: Iterable[str]) -> "LabelTable":
+        """The table of valid, distinct labels in the given order, unchecked."""
+        table = cls.__new__(cls)
+        table._labels = tuple(labels)
         table._index = {lab: i for i, lab in enumerate(table._labels)}
         return table
 
@@ -160,11 +161,15 @@ class SimplicialComplex:
         """
         raw = [tuple(f) for f in facets]
         if labels is None:
-            seen: set[str] = set()
-            for f in raw:
-                for lab in f:
-                    seen.add(_validate_label(lab))
-            table = LabelTable(sorted(seen))
+            # each distinct label once, in first-occurrence order; an unhashable
+            # one is no string, so checking every occurrence raises at the first
+            try:
+                seen = dict.fromkeys(itertools.chain.from_iterable(raw))
+            except TypeError:
+                seen = itertools.chain.from_iterable(raw)
+            for lab in seen:
+                _validate_label(lab)
+            table = LabelTable._of_valid(sorted(seen))
             id_faces = [table.face(f) for f in raw]
         else:
             table = labels if isinstance(labels, LabelTable) else LabelTable(labels)
@@ -181,7 +186,7 @@ class SimplicialComplex:
         used = sorted({v for f in facets for v in f})
         if len(used) != len(table):
             remap = {old: new for new, old in enumerate(used)}
-            table = table._restricted(used)
+            table = LabelTable._of_valid(table.labels_of(used))
             facets = [tuple(remap[v] for v in f) for f in facets]
         return cls(table, tuple(sorted(facets)))
 
@@ -232,12 +237,10 @@ class SimplicialComplex:
         """faces(), read from the cache when it is filled; never fills it."""
         if self._all_faces is not None:
             return self._all_faces
-        acc: set[Face] = set()
-        if self._facets:
-            acc.add(())
-        for facet in self._facets:
-            for k in range(1, len(facet) + 1):
-                acc.update(itertools.combinations(facet, k))
+        acc: set[Face] = {()} if self._facets else set()
+        for k in range(1, (self._dim or 0) + 2):
+            acc.update(itertools.chain.from_iterable(
+                map(itertools.combinations, self._facets, itertools.repeat(k))))
         return frozenset(acc)
 
     def faces_of_dim(self, d: int) -> tuple[Face, ...]:
@@ -248,10 +251,8 @@ class SimplicialComplex:
         """(f_{-1}, f_0, ..., f_{dim}); the void complex has the empty f-vector."""
         if self.is_void:
             return ()
-        counts = [0] * (self._dim + 2)
-        for f in self.faces():
-            counts[len(f)] += 1
-        return tuple(counts)
+        counts = collections.Counter(map(len, self.faces()))
+        return tuple(counts[i] for i in range(self._dim + 2))
 
     def reduced_euler(self) -> int:
         """Alternating face count, with the empty face contributing -1."""

@@ -10,7 +10,7 @@ to aggregate reports; consumers should treat them as opaque labels.
 
 Every ball and sphere hypothesis is certified, whatever the size, by a
 shelling (homology.shelled_boundary) or, where its search stalls, by
-is_homology_ball and is_homology_sphere, whichever run built the complex.
+is_homology_ball and is_homology_sphere.
 The run memo is the only cache: within one run_suite or scan_reports call,
 or one direct call of a check that opens it, results are memoized by
 complex, equal complexes sharing one entry, each shelled once, and the memo

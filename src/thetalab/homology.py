@@ -161,9 +161,11 @@ def betti(complex_: SimplicialComplex, field: int | None = None) -> HomologyProf
     ranks += [0] * (len(by_dim) + 1 - len(ranks))
     cleared: set[int] = set()
     for j in range(len(by_dim) - 1, 2, -1):
-        index = {f: i for i, f in enumerate(by_dim[j - 1])}
+        index = {f: i for i, f in enumerate(by_dim[j - 1])}.__getitem__
+        # combinations(f, j - 1) drops f[j - 1], ..., f[0]; f[t] has sign (-1)^t
+        signs = [(-1) ** t for t in range(j - 1, -1, -1)]
         cleared = _rank(
-            ({index[f[:t] + f[t + 1:]]: -1 if t % 2 else 1 for t in range(len(f))}
+            (dict(zip(map(index, itertools.combinations(f, j - 1)), signs))
              for i, f in enumerate(by_dim[j]) if i not in cleared),
             field)
         ranks[j] = len(cleared)
@@ -177,13 +179,10 @@ def _sphere_like(b: tuple[int, ...]) -> bool:
 
 
 def _ridge_counts(complex_: SimplicialComplex) -> dict[Face, int]:
-    """How many facets contain each ridge (a facet minus one vertex)."""
-    counts: dict[Face, int] = {}
-    for facet in complex_.facets:
-        for t in range(len(facet)):
-            ridge = facet[:t] + facet[t + 1:]
-            counts[ridge] = counts.get(ridge, 0) + 1
-    return counts
+    """How many facets contain each ridge (a facet minus one vertex); the
+    empty facet has none."""
+    return collections.Counter(itertools.chain.from_iterable(
+        itertools.combinations(f, len(f) - 1) for f in complex_.facets if f))
 
 
 def _surface_betti(triangles: list[Face], p: int | None) -> tuple[int, ...] | None:
@@ -197,8 +196,9 @@ def _surface_betti(triangles: list[Face], p: int | None) -> tuple[int, ...] | No
     """
     sides: dict[Face, list[tuple[int, int]]] = {}
     for t, (a, b, c) in enumerate(triangles):
-        for edge, sign in (((b, c), 1), ((a, c), -1), ((a, b), 1)):
-            sides.setdefault(edge, []).append((t, sign))
+        sides.setdefault((b, c), []).append((t, 1))
+        sides.setdefault((a, c), []).append((t, -1))
+        sides.setdefault((a, b), []).append((t, 1))
     # near[t]: (u, f) for each triangle u across an edge from t, where a
     # cycle's coefficient on u is f times its coefficient on t
     near: list[list[tuple[int, int]]] = [[] for _ in triangles]
@@ -213,10 +213,11 @@ def _surface_betti(triangles: list[Face], p: int | None) -> tuple[int, ...] | No
             near[t].append((u, -s * r))
             near[u].append((t, -s * r))
     orient = [0] * len(triangles)
-    closed = 0
+    closed = strong = 0
     for start in range(len(triangles)):
         if orient[start]:
             continue
+        strong += 1
         orient[start], stack, cycle = 1, [start], True
         while stack:
             t = stack.pop()
@@ -228,8 +229,10 @@ def _surface_betti(triangles: list[Face], p: int | None) -> tuple[int, ...] | No
                 elif orient[u] != f * orient[t] and p != 2:
                     cycle = False
         closed += cycle
-    vertices = len({v for tri in triangles for v in tri})
-    components = vertices - _graph_rank(sides)
+    vertices = len(set(itertools.chain.from_iterable(triangles)))
+    # triangles joined across edges join their vertices: one strong
+    # component spans a connected graph, with no union-find to run
+    components = 1 if strong == 1 else vertices - _graph_rank(sides)
     # the reduced Euler characteristic -1 + V - E + T is b0 - b1 + b2
     b1 = components + closed - vertices + len(sides) - len(triangles)
     return (0, components - 1, b1, closed)
@@ -251,15 +254,17 @@ def _links_pass(complex_: SimplicialComplex, field: int | None, counts: dict[Fac
         return False
     graphs: dict[Face, list[Face]] = {}
     surfaces: dict[Face, list[Face]] = {}
-    for facet in complex_.facets:
-        for i, j in itertools.combinations(range(len(facet)), 2):
-            face = facet[:i] + facet[i + 1:j] + facet[j + 1:]
-            graphs.setdefault(face, []).append((facet[i], facet[j]))
-        for i, j, k in itertools.combinations(range(len(facet)), 3):
-            face = facet[:i] + facet[i + 1:j] + facet[j + 1:k] + facet[k + 1:]
-            surfaces.setdefault(face, []).append((facet[i], facet[j], facet[k]))
+    n = complex_.dim + 1
+    # a sorted facet's k-subsets come in the reverse order of their complements
+    for facet in complex_.facets if n >= 2 else ():
+        for edge, face in zip(itertools.combinations(facet, 2),
+                              reversed(tuple(itertools.combinations(facet, n - 2)))):
+            graphs.setdefault(face, []).append(edge)
+        for tri, face in zip(itertools.combinations(facet, 3),
+                             reversed(tuple(itertools.combinations(facet, max(n - 3, 0))))):
+            surfaces.setdefault(face, []).append(tri)
     for face, edges in graphs.items():
-        vertices = len({v for edge in edges for v in edge})
+        vertices = len(set(itertools.chain.from_iterable(edges)))
         components = vertices - _graph_rank(edges)
         if not link_ok(face, (0, components - 1, len(edges) - vertices + components)):
             return False
@@ -267,10 +272,11 @@ def _links_pass(complex_: SimplicialComplex, field: int | None, counts: dict[Fac
         b = _surface_betti(triangles, field) or betti(complex_._link_ids(face), field).betti
         if not link_ok(face, b):
             return False
-    for d in range(-1, complex_.dim - 3):
-        for face in complex_.faces_of_dim(d):
-            if not link_ok(face, betti(complex_._link_ids(face), field).betti):
-                return False
+    # the faces of codimension 4 or more, by size and then in sorted order
+    small = sorted(f for f in complex_.faces() if len(f) <= n - 4) if n >= 4 else ()
+    for face in sorted(small, key=len):
+        if not link_ok(face, betti(complex_._link_ids(face), field).betti):
+            return False
     return True
 
 
@@ -380,8 +386,10 @@ def shelled_boundary(complex_: SimplicialComplex) -> SimplicialComplex | None:
     near: dict[Face, list[Face | None]] = {f: [None] * len(f) for f in facets}
     first: dict[Face, tuple[Face, int]] = {}
     for f in facets:
-        for t in range(len(f)):
-            g, s = first.setdefault(f[:t] + f[t + 1:], (f, t))
+        t = len(f)
+        for ridge in itertools.combinations(f, t - 1):  # without f[t - 1], ..., f[0]
+            t -= 1
+            g, s = first.setdefault(ridge, (f, t))
             if g is not f:
                 if near[g][s] is not None:
                     return None

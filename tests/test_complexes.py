@@ -1,5 +1,6 @@
 """Complex construction, face queries, operations, and the facet file format."""
 
+import itertools
 from collections import Counter
 
 import pytest
@@ -58,9 +59,26 @@ def test_from_facets_drops_unused_labels_with_table():
 
 
 def test_label_validation():
-    for bad in ["", "a b", "@", "%", "->", "#x"]:
+    for bad in ["", "a b", "@", "%", "->", "#x", "a\u2003b"]:
         with pytest.raises(MalformedFaceError):
             SimplicialComplex.from_facets([(bad,)])
+
+
+def test_label_errors_name_the_first_bad_occurrence():
+    # each distinct label is checked once, yet the error is the one a check
+    # of every occurrence in order raises first; unhashable labels included
+    cases = [
+        ([("a", "b"), ("b", "x y", "@")], "'x y' contains whitespace"),
+        ([("a", "@"), ("", "b")], "'@' collides with facet file syntax"),
+        ([("a",), ("b", ""), ("@",)], "nonempty string, got ''"),
+        ([("a", 7), ("b", "#c")], "nonempty string, got 7"),
+        ([("a", ["b"])], r"got \['b'\]"),
+        ([("a", "a b"), ({"c": 1},)], "'a b' contains whitespace"),
+        ([(set(),), ("a",)], r"got set\(\)"),
+    ]
+    for facets, message in cases:
+        with pytest.raises(MalformedFaceError, match=message):
+            SimplicialComplex.from_facets(facets)
 
 
 def test_face_counts():
@@ -230,6 +248,8 @@ def test_face_readers_agree_with_the_face_set(facets):
     reversed_ = _reversed_table(c)
     for x in (c, reversed_):
         faces = x.faces()
+        assert faces == {s for f in x.facets for k in range(len(f) + 1)
+                         for s in itertools.combinations(f, k)}
         top = -2 if x.is_void else x.dim
         for d in range(-1, top + 2):
             assert x.faces_of_dim(d) == tuple(sorted(f for f in faces if len(f) == d + 1))

@@ -36,7 +36,7 @@ from thetalab import (
 )
 from thetalab import harness, homology
 from thetalab.harness import InstanceGenerator, corpus, subdivision_kinds
-from thetalab.homology import _links_pass, shelled_boundary
+from thetalab.homology import _links_pass, _ridge_counts, shelled_boundary
 
 EMPTY = SimplicialComplex.from_facets([()])
 
@@ -316,6 +316,27 @@ def test_recognizers_match_per_face_reference_on_perturbed_triangulations(c, how
         ridges = sorted(c.faces_of_dim(c.dim - 1))
         facets.append(c.labels_of(ridges[pick % len(ridges)]) + ("new",))
     _assert_recognizers_match_reference(SimplicialComplex.from_facets(facets), p)
+
+
+def _ridge_counts_by_slicing(c):
+    counts = {}
+    for f in c.facets:
+        for t in range(len(f)):
+            ridge = f[:t] + f[t + 1:]
+            counts[ridge] = counts.get(ridge, 0) + 1
+    return counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), min_size=1, max_size=8))
+def test_ridge_counts_match_slicing(facets):
+    # random complexes, most of them not pure; the empty complex and single
+    # points, whose facets have no ridge or only the empty one, are checked
+    # on every example
+    c = SimplicialComplex.from_facets([sorted(f"v{i}" for i in f) for f in facets])
+    for x in (c, EMPTY, simplex("a"), SimplicialComplex.from_facets([("a",), ("b", "c")])):
+        assert _ridge_counts(x) == _ridge_counts_by_slicing(x)
+    assert _ridge_counts(EMPTY) == {} and _ridge_counts(simplex("a")) == {(): 1}
 
 
 def test_recognizers_on_small_hand_cases():
