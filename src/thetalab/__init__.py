@@ -46,6 +46,8 @@ from .homology import (
     no_facet_on_union_boundaries,
 )
 from .invariants import (
+    ThetaClass,
+    derangement_poly,
     h_interior,
     h_poly,
     h_sd_via_pnk,
@@ -54,13 +56,13 @@ from .invariants import (
     local_h,
     sphere_gamma,
     theta,
+    theta_class,
     theta_sd_closed_form,
 )
 from .polynomials import (
     GammaVector,
     IntPoly,
     SymmetricDecomposition,
-    derangement_poly,
     derangement_poly_by_excedance,
     gamma_vector,
     is_gamma_positive,
@@ -74,7 +76,6 @@ from .polynomials import (
     symmetric_decomposition,
 )
 from .subdivisions import (
-    ThetaClass,
     Triangulation,
     antiprism,
     barycentric,
@@ -83,7 +84,6 @@ from .subdivisions import (
     identity,
     read_triangulation_file,
     stellar,
-    theta_class,
     write_triangulation_file,
 )
 

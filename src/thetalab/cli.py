@@ -33,7 +33,7 @@ from .homology import (
     is_homology_ball,
     is_homology_sphere,
 )
-from .invariants import h_poly, sphere_gamma, theta
+from .invariants import h_poly, sphere_gamma, theta, theta_class
 from .polynomials import (
     IntPoly,
     derangement_poly_by_excedance,
@@ -48,7 +48,6 @@ from .subdivisions import (
     edgewise,
     read_triangulation_file,
     stellar,
-    theta_class,
     write_triangulation_file,
 )
 

@@ -295,23 +295,21 @@ class SimplicialComplex:
             self._table, [tuple(v for v in f if v not in face) for f in star])
 
     def induced(self, vertices) -> "SimplicialComplex":
-        """Induced subcomplex on a vertex subset (ids or labels)."""
-        vs = set()
-        for v in vertices:
-            vs.add(self._table.id(v) if isinstance(v, str) else v)
+        """Induced subcomplex on a vertex subset (ids or labels); keeps the id order."""
+        vs = {self._table.id(v) if isinstance(v, str) else v for v in vertices}
         for v in vs:
             if not (0 <= v < len(self._table)):
                 raise NotAFaceError(f"vertex id {v} outside complex")
         cut = [tuple(v for v in facet if v in vs) for facet in self._facets]
-        return SimplicialComplex.from_facets([self._table.labels_of(f) for f in cut])
+        return SimplicialComplex._on_ids(self._table, _maximal(cut))
 
     def delete_vertex(self, vertex) -> "SimplicialComplex":
-        """All faces not containing the vertex (the antistar)."""
+        """All faces not containing the vertex (the antistar); keeps the id order."""
         v = self._table.id(vertex) if isinstance(vertex, str) else vertex
         if not 0 <= v < len(self._table):
             raise NotAFaceError(f"vertex {vertex!r} not in complex")
         cut = [tuple(u for u in facet if u != v) for facet in self._facets]
-        return SimplicialComplex.from_facets([self._table.labels_of(f) for f in cut])
+        return SimplicialComplex._on_ids(self._table, _maximal(cut))
 
     def cone(self, apex_label: str) -> "SimplicialComplex":
         if self.is_void:
@@ -475,21 +473,15 @@ def cycle(k: int) -> SimplicialComplex:
         [(f"v{i}", f"v{(i+1) % k}") for i in range(k)])
 
 
-def _glued_tetrahedra() -> SimplicialComplex:
-    return SimplicialComplex.from_facets([("a", "b", "c", "d"), ("b", "c", "d", "e")])
-
-
 def example_5_2_ball() -> SimplicialComplex:
-    """Two glued tetrahedra with both original facets stellarly subdivided.
+    """Two glued tetrahedra, abcd and bcde, stellarly subdivided by u and v.
 
     A 3-ball on 7 vertices and 8 facets whose boundary is not an induced
     subcomplex, yet every facet contains one of the two interior vertices.
     """
-    from .subdivisions import stellar
-
-    start = _glued_tetrahedra()
-    once = stellar(start, ("a", "b", "c", "d"), "u").total
-    return stellar(once, ("b", "c", "d", "e"), "v").total
+    return SimplicialComplex.from_facets(
+        [f + ("u",) for f in itertools.combinations("abcd", 3)]
+        + [f + ("v",) for f in itertools.combinations("bcde", 3)])
 
 
 def example_5_4_ball() -> SimplicialComplex:
@@ -520,9 +512,11 @@ def parse_facet_text(text: str) -> SimplicialComplex:
     One facet per line as whitespace-separated labels; '#' starts a comment;
     a lone '@' denotes the empty face.  A file with no facet lines at all is
     the void complex.  Parsing stops at a '%' line so the leading section of
-    a triangulation file reads as a facet file.
+    a triangulation file reads as a facet file.  Each distinct label is
+    checked once, on the line where it first occurs.
     """
     facets: list[tuple[str, ...]] = []
+    checked: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split(_COMMENT, 1)[0].strip()
         if not line:
@@ -537,11 +531,12 @@ def parse_facet_text(text: str) -> SimplicialComplex:
             raise FileFormatError(f"line {lineno}: '@' cannot appear inside a facet")
         if len(set(tokens)) != len(tokens):
             raise FileFormatError(f"line {lineno}: facet repeats a vertex")
-        for tok in tokens:
+        for tok in [t for t in tokens if t not in checked]:
             try:
                 _validate_label(tok)
             except MalformedFaceError as exc:
                 raise FileFormatError(f"line {lineno}: {exc}") from None
+        checked.update(tokens)
         facets.append(tuple(tokens))
     return SimplicialComplex.from_facets(facets)
 

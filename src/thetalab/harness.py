@@ -68,10 +68,13 @@ from .homology import (
     shelled_boundary,
 )
 from .invariants import (
+    ThetaClass,
     _h_of_counts,
     _local_h_at,
     _sphere_gamma_of_h,
+    _theta_class_of,
     _theta_of_h,
+    derangement_poly,
     h_poly,
     is_alternatingly_increasing,
     local_h,
@@ -79,7 +82,6 @@ from .invariants import (
 )
 from .polynomials import (
     IntPoly,
-    derangement_poly,
     gamma_vector,
     is_gamma_positive,
     is_nonnegative,
@@ -92,9 +94,7 @@ from .polynomials import (
     symmetric_decomposition,
 )
 from .subdivisions import (
-    ThetaClass,
     Triangulation,
-    _theta_class_of,
     antiprism,
     barycentric,
     compose,

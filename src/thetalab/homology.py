@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, _maximal
 from .errors import PreconditionError
 
 
@@ -310,12 +310,12 @@ def is_cohen_macaulay_star(complex_: SimplicialComplex, field: int | None = None
     """
     if not is_cohen_macaulay(complex_, field):
         raise PreconditionError("CM* is only defined for Cohen-Macaulay complexes")
-    dim = complex_.dim
-    labels = [tuple(sorted(complex_.labels_of(f))) for f in complex_.facets]
-    for skip, facet in enumerate(labels):
-        rest = labels[:skip] + labels[skip + 1:]
-        rest += [facet[:t] + facet[t + 1:] for t in range(len(facet))]
-        reduced = SimplicialComplex.from_facets(rest)
+    dim, facets = complex_.dim, list(complex_.facets)
+    for skip, facet in enumerate(facets):
+        rest = facets[:skip] + facets[skip + 1:]
+        if facet:
+            rest += itertools.combinations(facet, len(facet) - 1)
+        reduced = SimplicialComplex._on_ids(complex_.table, _maximal(rest))
         if reduced.is_void or reduced.dim != dim:
             return False
         if not is_cohen_macaulay(reduced, field):

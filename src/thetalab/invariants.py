@@ -1,8 +1,9 @@
-"""Face-enumeration invariants: h, interior h, theta, and local h.
+"""Face-enumeration invariants: h, interior h, theta, theta class, local h, d_n.
 
 theta is always computed two independent ways (boundary subtraction and the
 partial-sum formula) and a ConsistencyError is raised if they disagree, so a
-successful call certifies its own arithmetic.
+successful call certifies its own arithmetic.  theta_class certifies each
+restriction as a homology ball before taking its theta.
 
 Local h is read from the carrier index of a triangulation (the counts of
 the faces F of each size |F| with each carrier sigma(F)) in one pass, with
@@ -19,13 +20,24 @@ sum, it assumes a validated triangulation (each Gamma_W of dimension
 
 from __future__ import annotations
 
+import dataclasses
+from functools import lru_cache
 from math import comb
+from typing import Iterable
 
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, simplex
 from .errors import ConsistencyError, PreconditionError
-from .homology import boundary_subcomplex, interior_faces
-from .polynomials import GammaVector, IntPoly, gamma_vector, pnk
-from .subdivisions import Triangulation, _mask
+from .homology import boundary_subcomplex, interior_faces, is_homology_ball
+from .polynomials import (
+    GammaVector,
+    IntPoly,
+    gamma_vector,
+    is_gamma_positive,
+    is_nonnegative,
+    is_unimodal,
+    pnk,
+)
+from .subdivisions import Triangulation, _mask, barycentric
 
 
 def _h_of_counts(counts: list[int]) -> IntPoly:
@@ -109,6 +121,51 @@ def _theta_of_h(h: IntPoly, h_bd: IntPoly, n: int) -> IntPoly:
     return direct
 
 
+@dataclasses.dataclass(frozen=True)
+class ThetaClass:
+    """Which sign properties the theta polynomials of all restrictions share."""
+
+    positive: bool
+    unimodal: bool
+    gamma_positive: bool
+
+
+def _theta_class_of(pairs: Iterable[tuple[IntPoly, int]]) -> ThetaClass:
+    """Fold (theta, carrier size) pairs of the nonempty restrictions; unimodal
+    reads positive, which has already checked that t is nonnegative."""
+    positive = unimodal = gamma_positive = True
+    for t, size in pairs:
+        positive = positive and is_nonnegative(t)
+        unimodal = unimodal and positive and is_unimodal(t)
+        gamma_positive = gamma_positive and is_gamma_positive(t, size)
+    return ThetaClass(positive, unimodal, gamma_positive)
+
+
+def theta_class(tri: Triangulation) -> ThetaClass:
+    """Classify a triangulation by the theta polynomials of its restrictions.
+
+    positive means every restriction has nonnegative theta, unimodal
+    additionally requires unimodal coefficients, and gamma_positive asks for
+    gamma-positivity with respect to half the carrier size.  Every nonempty
+    restriction must be a verified homology ball (theta is undefined
+    otherwise); a PreconditionError names the first offending base face.
+    """
+
+    def restriction_theta(face: Face) -> IntPoly:
+        sub = tri.restriction(face)
+        boundary = is_homology_ball(sub.total)
+        if boundary is None:
+            raise PreconditionError(
+                "theta_class needs every nonempty restriction to be a homology"
+                f" ball; the restriction to {sorted(tri.base.labels_of(face))}"
+                " is not"
+            )
+        return theta(sub.total, boundary)
+
+    faces = [f for f in sorted(tri.base.faces(), key=len) if f]
+    return _theta_class_of((restriction_theta(f), len(f)) for f in faces)
+
+
 def local_h(tri: Triangulation) -> IntPoly:
     """Local h-polynomial of a triangulation of a simplex on n vertices.
 
@@ -148,6 +205,19 @@ def _local_h_at(tri: Triangulation, face: Face) -> IntPoly:
             break
         sub = (sub - 1) & mask
     return IntPoly(coeffs)
+
+
+@lru_cache(maxsize=None)
+def derangement_poly(n: int) -> IntPoly:
+    """d_n: the local h of the barycentric subdivision of the (n-1)-simplex.
+
+    Computed from the inclusion-exclusion definition applied to sd of the
+    (n-1)-simplex; `derangement_poly_by_excedance` is the independent check.
+    """
+    if n < 0:
+        raise PreconditionError("derangement index must be nonnegative")
+    base = simplex([f"v{i}" for i in range(1, n + 1)])
+    return local_h(barycentric(base))
 
 
 def sphere_gamma(complex_: SimplicialComplex) -> GammaVector:

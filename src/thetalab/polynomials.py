@@ -2,7 +2,8 @@
 
 Everything is exact: coefficients are Python integers, and root counting
 uses one Sturm chain kept in integers.  Polynomials are immutable; the zero
-polynomial has degree None.
+polynomial has degree None.  derangement_poly_by_excedance counts d_n over
+permutations, the independent check of invariants.derangement_poly.
 """
 
 from __future__ import annotations
@@ -339,23 +340,6 @@ def pnk(n: int, k: int) -> IntPoly:
     for i in range(k, n):
         high = high + pnk(n - 1, i)
     return low.shift(1) + high
-
-
-@lru_cache(maxsize=None)
-def derangement_poly(n: int) -> IntPoly:
-    """d_n: the local contribution of the barycentric subdivision of a simplex.
-
-    Computed from the inclusion-exclusion definition applied to sd of the
-    (n-1)-simplex; `derangement_poly_by_excedance` is the independent check.
-    """
-    if n < 0:
-        raise PreconditionError("derangement index must be nonnegative")
-    from .complexes import simplex
-    from .invariants import local_h
-    from .subdivisions import barycentric
-
-    base = simplex([f"v{i}" for i in range(1, n + 1)])
-    return local_h(barycentric(base))
 
 
 def derangement_poly_by_excedance(n: int) -> IntPoly:

@@ -18,17 +18,17 @@ the harness reads h and restriction patterns from it, filling no face cache.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
-once, the total complex is built on a label table validated once, and a
-private constructor takes the masks, without re-checking carrier keys, and
-validates the result.  antiprism and edgewise are defined by a pairwise
-relation on their vertices and list its maximal sets in closed form (ordered
-set partitions, Freudenthal walks).  The public constructor and the file
-parser keep every check.
+once, the total complex is built straight from the builder's facets and
+labels, which are distinct, maximal and valid by construction (see
+_subdivision), and a private constructor takes the masks, without
+re-checking carrier keys, and validates the result.  antiprism and edgewise
+are defined by a pairwise relation on their vertices and list its maximal
+sets in closed form (ordered set partitions, Freudenthal walks).  The public
+constructor and the file parser keep every check.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Iterable, Mapping
 
@@ -42,6 +42,8 @@ from .complexes import (
     LabelTable,
     _maximal,
     _read_text_file,
+    _validate_label,
+    format_facet_text,
     fresh_label,
     parse_facet_text,
 )
@@ -52,7 +54,6 @@ from .errors import (
     NotAFaceError,
     PreconditionError,
 )
-from .polynomials import IntPoly, is_gamma_positive, is_nonnegative, is_unimodal
 
 LabelSet = frozenset[str]
 
@@ -363,6 +364,17 @@ def _subdivision(base: SimplicialComplex, node_facets: list, label, mask) -> Tri
     label(node) and mask(node) give a new vertex's label and carrier mask; each
     is called once per distinct node.  Vertex ids follow the sorted labels, as
     from_facets would number them.
+
+    Facets and labels are trusted.  A builder's facet determines its base
+    facet and how it was built on it, and a facet inside another lies over the
+    same base facet, as base facets are maximal; so the facets are distinct
+    and maximal:
+    - sd: a chain ends at its own base facet;
+    - antiprism: an ordered set partition can be read back from its nodes;
+    - stellar: every new facet contains the new vertex and determines its old facet;
+    - edgewise: a walk spans its base facet.
+    Each label is built from validated base labels, starts with '{', '(' or a
+    base label and has no whitespace; stellar checks a caller's new label.
     """
     carriers: dict[str, int] = {}
     names = {}
@@ -373,10 +385,10 @@ def _subdivision(base: SimplicialComplex, node_facets: list, label, mask) -> Tri
                 f"base labels make the subdivision label {lab!r} ambiguous"
             )
         names[node] = lab
-    table = LabelTable(sorted(carriers))
+    table = LabelTable._of_valid(sorted(carriers))
     ids = {node: table.id(lab) for node, lab in names.items()}
-    total = SimplicialComplex._on_ids(table, _maximal(
-        tuple(sorted(map(ids.__getitem__, f))) for f in node_facets))
+    total = SimplicialComplex(table, tuple(sorted(
+        tuple(sorted(map(ids.__getitem__, f))) for f in node_facets)))
     return Triangulation._on_masks(base, total, map(carriers.__getitem__, table))
 
 
@@ -435,7 +447,7 @@ def stellar(
         raise PreconditionError("stellar subdivision needs a nonempty face")
     if new_label is None:
         new_label = fresh_label(complex_)
-    elif new_label in complex_.table:
+    elif _validate_label(new_label) in complex_.table:
         raise MalformedFaceError(f"label {new_label!r} already names a base vertex")
     # nodes are base vertex ids, and -1 for the new vertex
     fset, fmask = set(fids), _mask(fids)
@@ -516,53 +528,6 @@ def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
     return Triangulation._on_masks(inner.base, outer.total, vmask)
 
 
-@dataclasses.dataclass(frozen=True)
-class ThetaClass:
-    """Which sign properties the theta polynomials of all restrictions share."""
-
-    positive: bool
-    unimodal: bool
-    gamma_positive: bool
-
-
-def _theta_class_of(pairs: Iterable[tuple[IntPoly, int]]) -> ThetaClass:
-    """Fold (theta, carrier size) pairs of the nonempty restrictions; unimodal
-    reads positive, which has already checked that t is nonnegative."""
-    positive = unimodal = gamma_positive = True
-    for t, size in pairs:
-        positive = positive and is_nonnegative(t)
-        unimodal = unimodal and positive and is_unimodal(t)
-        gamma_positive = gamma_positive and is_gamma_positive(t, size)
-    return ThetaClass(positive, unimodal, gamma_positive)
-
-
-def theta_class(tri: Triangulation) -> ThetaClass:
-    """Classify a triangulation by the theta polynomials of its restrictions.
-
-    positive means every restriction has nonnegative theta, unimodal
-    additionally requires unimodal coefficients, and gamma_positive asks for
-    gamma-positivity with respect to half the carrier size.  Every nonempty
-    restriction must be a verified homology ball (theta is undefined
-    otherwise); a PreconditionError names the first offending base face.
-    """
-    from .homology import is_homology_ball
-    from .invariants import theta
-
-    def restriction_theta(face: Face) -> IntPoly:
-        sub = tri.restriction(face)
-        boundary = is_homology_ball(sub.total)
-        if boundary is None:
-            raise PreconditionError(
-                "theta_class needs every nonempty restriction to be a homology"
-                f" ball; the restriction to {sorted(tri.base.labels_of(face))}"
-                " is not"
-            )
-        return theta(sub.total, boundary)
-
-    faces = [f for f in sorted(tri.base.faces(), key=len) if f]
-    return _theta_class_of((restriction_theta(f), len(f)) for f in faces)
-
-
 # --------------------------------------------------------------- file format
 
 
@@ -570,33 +535,17 @@ def format_triangulation_text(tri: Triangulation) -> str:
     """Render: total facet lines, a '%' separator, then carrier lines.
 
     Carrier lines are written for every facet and every vertex of the total
-    complex; all other carriers are recovered as unions of vertex carriers.
+    complex, each face once (a point facet is also a vertex); all other
+    carriers are recovered as unions of vertex carriers.
     """
-    from .complexes import format_facet_text
-
-    lines = [format_facet_text(tri.total).rstrip("\n")]
-    lines.append(_SECTION_TOKEN)
     total = tri.total
-    written: set[frozenset[str]] = set()
-
-    def carrier_line(labels: tuple[str, ...]) -> str:
-        lhs = " ".join(labels) if labels else _EMPTY_FACE_TOKEN
-        rhs_labels = tri.carrier_labels(labels if labels else ())
-        rhs = " ".join(rhs_labels) if rhs_labels else _EMPTY_FACE_TOKEN
-        return f"{lhs} {_ARROW} {rhs}"
-
-    if not total.is_void:
-        entries = []
-        for f in total.facets:
-            entries.append(tuple(sorted(total.labels_of(f))))
-        for v in sorted(total.vertex_labels):
-            entries.append((v,))
-        for labels in entries:
-            key = frozenset(labels)
-            if key in written or not labels:
-                continue
-            written.add(key)
-            lines.append(carrier_line(labels))
+    lines = [format_facet_text(total).rstrip("\n"), _SECTION_TOKEN]
+    for labels in dict.fromkeys(itertools.chain(
+            (tuple(sorted(total.labels_of(f))) for f in total.facets),
+            ((v,) for v in sorted(total.vertex_labels)))):
+        if labels:
+            rhs = " ".join(tri.carrier_labels(labels)) or _EMPTY_FACE_TOKEN
+            lines.append(f"{' '.join(labels)} {_ARROW} {rhs}")
     return "\n".join(line for line in lines if line != "") + "\n"
 
 

@@ -179,6 +179,27 @@ def test_induced_and_delete_vertex():
         c.delete_vertex("v9")
 
 
+def _induced_by_labels(c, labels):
+    """The induced subcomplex straight from its definition, built from labels."""
+    keep = set(labels)
+    return SimplicialComplex.from_facets(
+        [[lab for lab in c.labels_of(f) if lab in keep] for f in c.facets])
+
+
+@pytest.mark.parametrize("idx", range(len(LINK_CASES)))
+def test_induced_and_delete_vertex_match_label_definitions(idx):
+    c = LINK_CASES[idx]
+    labels = c.vertex_labels
+    for keep in [labels[::2], labels[1::2]] + [labels[:i] + labels[i + 1:]
+                                               for i in range(len(labels))]:
+        sub = c.induced(keep)
+        assert sub == _induced_by_labels(c, keep)
+        # like the link, it keeps the complex's id order
+        assert sub.vertex_labels == tuple(lab for lab in labels if lab in sub.table)
+    for i, lab in enumerate(labels):
+        assert c.delete_vertex(lab) == _induced_by_labels(c, labels[:i] + labels[i + 1:])
+
+
 def test_cone():
     c = cycle(3).cone("apex")
     assert c.f_vector() == (1, 4, 6, 3)
@@ -372,6 +393,12 @@ def test_parse_errors():
         parse_facet_text("a @\n")
     with pytest.raises(FileFormatError):
         parse_facet_text("a ->\n")
+
+
+def test_parse_reports_a_bad_label_at_its_first_line():
+    # each distinct label is checked once, where it first occurs
+    with pytest.raises(FileFormatError, match="^line 2: label '->' collides"):
+        parse_facet_text("a b\nb ->\nc d\n-> a\n")
 
 
 def test_format_round_trip():

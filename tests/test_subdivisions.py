@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from thetalab import (
     FileFormatError,
     InvalidTriangulationError,
+    MalformedFaceError,
     NotAFaceError,
     PreconditionError,
     SimplicialComplex,
@@ -27,6 +28,7 @@ from thetalab import (
     compose,
     cycle,
     edgewise,
+    example_5_2_ball,
     identity,
     octahedron,
     path,
@@ -36,6 +38,7 @@ from thetalab import (
     theta_class,
     write_triangulation_file,
 )
+from thetalab.complexes import _maximal
 from thetalab.harness import corpus, subdivision_kinds, triangulation_theta_flags
 from thetalab.homology import (
     boundary_subcomplex,
@@ -142,6 +145,16 @@ def test_stellar_errors():
         stellar(simplex("abc"), ())
     with pytest.raises(Exception):
         stellar(simplex("abc"), ("a", "b"), "c")  # label already used
+    # the labels of test_label_validation: the total's table trusts its labels
+    for bad in ["", "a b", "@", "%", "->", "#x", "a\u2003b"]:
+        with pytest.raises(MalformedFaceError):
+            stellar(simplex("abc"), ("a", "b"), bad)
+
+
+def test_example_5_2_ball_is_two_stellar_subdivisions():
+    glued = SimplicialComplex.from_facets([("a", "b", "c", "d"), ("b", "c", "d", "e")])
+    once = stellar(glued, ("a", "b", "c", "d"), "u").total
+    assert example_5_2_ball() == stellar(once, ("b", "c", "d", "e"), "v").total
 
 
 def test_edgewise_facet_counts():
@@ -349,6 +362,17 @@ def test_builders_number_vertices_by_sorted_label():
     assert digest.hexdigest() == _CORPUS_CARRIERS_SHA256
 
 
+def test_builders_make_distinct_maximal_facets():
+    # _subdivision takes each builder's facets as they come, with no _maximal
+    non_pure = SimplicialComplex.from_facets([("a", "b", "c"), ("c", "d")])
+    cases = [(f"{kname}({bname})", maker(base))
+             for bname, base in corpus() + [("non-pure", non_pure)]
+             for kname, maker in subdivision_kinds()]
+    cases += [(f"stellar({f})", stellar(non_pure, f)) for f in non_pure.faces() if f]
+    for name, tri in cases:
+        assert sorted(_maximal(tri.total.facets)) == list(tri.total.facets), name
+
+
 # ---------------------------------------------------------------- compose
 
 
@@ -397,11 +421,15 @@ def test_theta_class_edgewise():
     lambda: antiprism(simplex("abc")),
     lambda: stellar(simplex("abc"), ("a", "b")),
     lambda: edgewise(cycle(3), 2),
+    # a point facet is also a vertex, and gets one carrier line
+    lambda: barycentric(SimplicialComplex.from_facets([("a",), ("b", "c")])),
 ])
 def test_triangulation_file_round_trip(make, tmp_path):
     tri = make()
     target = tmp_path / "tri.txt"
     write_triangulation_file(target, tri)
+    lines = target.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(set(lines))
     back = read_triangulation_file(target)
     assert back == tri  # base, total, and every carrier assignment
 
