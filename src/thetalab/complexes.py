@@ -2,11 +2,12 @@
 
 A complex is stored by its inclusion-maximal faces (facets).  Vertices carry
 string labels; internally a face is a strictly increasing tuple of dense
-integer ids so that subset tests stay cheap and all iteration orders are
-deterministic.  Two degenerate complexes are kept distinct throughout the
-library: the void complex, which has no faces at all, and the empty complex
-whose single face is the empty face (dimension -1).  They behave differently
-under every invariant downstream, so conflating them is always a bug.
+integer ids, numbered in sorted label order, so that subset tests stay cheap
+and all iteration orders are deterministic.  Two degenerate complexes are
+kept distinct throughout the library: the void complex, which has no faces
+at all, and the empty complex whose single face is the empty face
+(dimension -1).  They behave differently under every invariant downstream,
+so conflating them is always a bug.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ class LabelTable:
         return self._labels[vid]
 
     def face(self, labels: Iterable[str]) -> Face:
-        ids = sorted(self.id(lab) for lab in labels)
-        face = tuple(ids)
+        labels = tuple(labels)
+        face = tuple(sorted(map(self.id, labels)))
         if any(a == b for a, b in zip(face, face[1:])):
-            raise MalformedFaceError(f"face {tuple(labels)!r} repeats a vertex")
+            raise MalformedFaceError(f"face {labels!r} repeats a vertex")
         return face
 
     def labels_of(self, face: Face) -> tuple[str, ...]:
@@ -102,10 +103,11 @@ class LabelTable:
 
 
 def _as_id_face(face: Iterable[int]) -> Face:
-    ids = sorted(face)
+    # every entry is checked before sorting, which would compare an id to a label
+    ids = tuple(face)
     if any(not isinstance(v, int) or v < 0 for v in ids):
         raise MalformedFaceError(f"vertex ids must be nonnegative integers, got {ids!r}")
-    out = tuple(ids)
+    out = tuple(sorted(ids))
     if any(a == b for a, b in zip(out, out[1:])):
         raise MalformedFaceError(f"face {out!r} repeats a vertex")
     return out
@@ -131,18 +133,19 @@ def _maximal(faces: Iterable[Face]) -> list[Face]:
 class SimplicialComplex:
     """An abstract simplicial complex given by its facets.
 
-    Instances are immutable; every derived complex is a new object.  Equality
-    and hashing compare one canonical value: the labels in sorted order and
-    the facets as sorted tuples of ids into that order.  It is the label
-    table and the facets themselves when the table is sorted, and equal for
-    two complexes exactly when their sets of facet label sets are, so
-    complexes built along different routes agree whenever their faces agree.
+    Instances are immutable; every derived complex is a new object.  Every
+    complex numbers its vertices in sorted label order, so one complex has one
+    numbering: equality and hashing compare the label table and the sorted
+    facets, which agree for two complexes exactly when their sets of facet
+    label sets do, whatever route built them.
     """
 
     __slots__ = ("_table", "_facets", "_dim", "_all_faces", "_hash")
 
     def __init__(self, table: LabelTable, facets: tuple[Face, ...]):
         # Internal constructor: `from_facets` is the validated entry point.
+        # The table must be in sorted label order and hold just the vertices
+        # that occur; the facets must be distinct, maximal and sorted.
         self._table = table
         self._facets = facets
         self._dim = max(map(len, facets)) - 1 if facets else None
@@ -153,36 +156,36 @@ class SimplicialComplex:
     def from_facets(cls, facets: Iterable[Iterable], labels=None) -> "SimplicialComplex":
         """Build a complex from candidate facets.
 
-        Without `labels`, facets are iterables of string labels and the label
-        table is the sorted set of labels that occur.  With `labels` (a
-        LabelTable or a sequence of labels fixing the id order), facets are
-        iterables of integer ids.  Non-maximal entries are absorbed; ids are
-        re-densified so only vertices that actually occur remain.
+        Without `labels`, facets are iterables of string labels.  With
+        `labels` (a LabelTable or a sequence of labels), facets are iterables
+        of integer ids into it, read as those labels.  Either way the label
+        table is the sorted set of labels that occur, and non-maximal entries
+        are absorbed.
         """
         raw = [tuple(f) for f in facets]
-        if labels is None:
-            # each distinct label once, in first-occurrence order; an unhashable
-            # one is no string, so checking every occurrence raises at the first
-            try:
-                seen = dict.fromkeys(itertools.chain.from_iterable(raw))
-            except TypeError:
-                seen = itertools.chain.from_iterable(raw)
-            for lab in seen:
-                _validate_label(lab)
-            table = LabelTable._of_valid(sorted(seen))
-            id_faces = [table.face(f) for f in raw]
-        else:
-            table = labels if isinstance(labels, LabelTable) else LabelTable(labels)
-            id_faces = [_as_id_face(f) for f in raw]
+        if labels is not None:
+            given = labels if isinstance(labels, LabelTable) else LabelTable(labels)
+            id_faces = list(map(_as_id_face, raw))
             for f in id_faces:
-                if f and f[-1] >= len(table):
+                if f and f[-1] >= len(given):
                     raise MalformedFaceError(f"vertex id {f[-1]} outside label table")
-        return cls._on_ids(table, _maximal(id_faces))
+            raw = list(map(given.labels_of, id_faces))
+        # each distinct label once, in first-occurrence order; an unhashable
+        # one is no string, so checking every occurrence raises at the first
+        try:
+            seen = dict.fromkeys(itertools.chain.from_iterable(raw))
+        except TypeError:
+            seen = itertools.chain.from_iterable(raw)
+        for lab in seen:
+            _validate_label(lab)
+        table = LabelTable._of_valid(sorted(seen))
+        return cls._on_ids(table, _maximal(table.face(f) for f in raw))
 
     @classmethod
     def _on_ids(cls, table: LabelTable, facets: list[Face]) -> "SimplicialComplex":
-        """The complex with these distinct, maximal id facets of a validated
-        table, keeping only the vertices that occur, in the table's id order."""
+        """The complex with these distinct, maximal id facets of a validated,
+        sorted table, keeping only the vertices that occur; they stay in
+        sorted label order."""
         used = sorted({v for f in facets for v in f})
         if len(used) != len(table):
             remap = {old: new for new, old in enumerate(used)}
@@ -284,9 +287,9 @@ class SimplicialComplex:
 
         Its facets are F minus the face for the facets F containing the face,
         found by one scan of the facets, and distinct and maximal because the
-        F are; its label table keeps this complex's id order.  The empty
-        face's link is this complex itself, with its cached faces.  The face
-        is not validated again.
+        F are; its label table is this complex's, cut to the vertices that
+        occur.  The empty face's link is this complex itself, with its cached
+        faces.  The face is not validated again.
         """
         if not face:
             return self
@@ -295,7 +298,7 @@ class SimplicialComplex:
             self._table, [tuple(v for v in f if v not in face) for f in star])
 
     def induced(self, vertices) -> "SimplicialComplex":
-        """Induced subcomplex on a vertex subset (ids or labels); keeps the id order."""
+        """Induced subcomplex on a vertex subset, given as ids or as labels."""
         vs = {self._table.id(v) if isinstance(v, str) else v for v in vertices}
         for v in vs:
             if not (0 <= v < len(self._table)):
@@ -304,7 +307,7 @@ class SimplicialComplex:
         return SimplicialComplex._on_ids(self._table, _maximal(cut))
 
     def delete_vertex(self, vertex) -> "SimplicialComplex":
-        """All faces not containing the vertex (the antistar); keeps the id order."""
+        """All faces not containing the vertex (the antistar)."""
         v = self._table.id(vertex) if isinstance(vertex, str) else vertex
         if not 0 <= v < len(self._table):
             raise NotAFaceError(f"vertex {vertex!r} not in complex")
@@ -360,27 +363,15 @@ class SimplicialComplex:
     def face_labelsets(self) -> frozenset[frozenset[str]]:
         return frozenset(frozenset(self._table.labels_of(f)) for f in self._face_set())
 
-    def _canonical(self) -> tuple[tuple[str, ...], tuple[Face, ...]]:
-        """The sorted labels and the sorted facets on their ids.  The table
-        holds just the vertices that occur and the facets are sorted and
-        distinct (see _on_ids), so only an unsorted table needs re-sorting."""
-        labels = self._table.labels
-        if all(a < b for a, b in zip(labels, labels[1:])):
-            return labels, self._facets
-        order = sorted(range(len(labels)), key=labels.__getitem__)
-        rank = {old: new for new, old in enumerate(order)}
-        return (tuple(labels[v] for v in order),
-                tuple(sorted(tuple(sorted(rank[v] for v in f)) for f in self._facets)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self is other or (
-            hash(self) == hash(other) and self._canonical() == other._canonical())
+        return self is other or (hash(self) == hash(other) and self._table == other._table
+                                 and self._facets == other._facets)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._canonical())
+            self._hash = hash((self._table.labels, self._facets))
         return self._hash
 
     def __repr__(self) -> str:
@@ -404,10 +395,10 @@ def is_subcomplex(inner: SimplicialComplex, outer: SimplicialComplex) -> bool:
         return True
     if not all(map(outer.table.__contains__, inner.vertex_labels)):
         return False
+    # both tables are sorted, so the id map keeps each face's order
     to_outer = [outer.table.id(lab) for lab in inner.vertex_labels]
     outer_faces = outer._face_set()
-    return all(tuple(sorted(map(to_outer.__getitem__, f))) in outer_faces
-               for f in inner.facets)
+    return all(tuple(map(to_outer.__getitem__, f)) in outer_faces for f in inner.facets)
 
 
 def is_induced_subcomplex(inner: SimplicialComplex, outer: SimplicialComplex) -> bool:

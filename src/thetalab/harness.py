@@ -174,7 +174,7 @@ def summarize(reports: Sequence[VerificationReport]) -> str:
 
 # The memo of one run_suite, scan_reports or ball_basics_reports call, keyed
 # by (what, key) where key holds the complexes themselves, which hash once and
-# compare by their canonical value, with the label table where ids matter;
+# compare by label table and facets, so equal complexes share ids and entries;
 # None outside such a call, so a direct call of the functions below computes
 # afresh.
 _RUN_CACHE: dict | None = None
@@ -349,23 +349,19 @@ def _with_h(tri: Triangulation) -> Triangulation:
 
 
 def _base_faces(c: SimplicialComplex) -> list[Face]:
-    """The faces of c in _sorted_faces order, once per run.  They are ids,
-    which may differ between equal complexes, so the keys aligned with them
-    hold c's label table."""
-    return _cached("faces", (c.table, c), lambda: _sorted_faces(c))
+    """The faces of c in _sorted_faces order, once per run."""
+    return _cached("faces", c, lambda: _sorted_faces(c))
 
 
 def _base_links(c: SimplicialComplex) -> list[SimplicialComplex]:
     """The link of each face of _base_faces(c), once per run."""
-    return _cached("links", (c.table, c),
-                   lambda: [c._link_ids(f) for f in _base_faces(c)])
+    return _cached("links", c, lambda: [c._link_ids(f) for f in _base_faces(c)])
 
 
 def _at_faces(at: Callable, tri: Triangulation) -> list:
     """at(tri, face) for each face of _base_faces(tri.base), once per run; at
     is _local_h_at or _restriction_theta."""
-    return _cached("at faces", (at, tri, tri.base.table),
-                   lambda: [at(tri, f) for f in _base_faces(tri.base)])
+    return _cached("at faces", (at, tri), lambda: [at(tri, f) for f in _base_faces(tri.base)])
 
 
 def _restriction_theta(tri: Triangulation, face: Face) -> IntPoly | None:
@@ -437,7 +433,8 @@ def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
 
 
 def _sorted_faces(c: SimplicialComplex):
-    return sorted(c._face_set(), key=lambda f: (len(f), tuple(sorted(c.labels_of(f)))))
+    """The faces of c by size, then by their ids, which is their label order."""
+    return sorted(c._face_set(), key=lambda f: (len(f), f))
 
 
 # ----------------------------------------------------------- identity checks
@@ -552,8 +549,7 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
         link_ok = True
         checked = 0
         for face in _sorted_faces(bd):
-            labels = tuple(sorted(bd.labels_of(face)))
-            lk = c.link(labels)
+            lk = c.link(bd.labels_of(face))
             link_ok = link_ok and is_nonnegative(theta_verified(lk))
             checked += 1
         out.append(VerificationReport(
@@ -928,8 +924,7 @@ def _rng(seed: int, klass: str, dim: int, index: int) -> random.Random:
 
 def _facet_labels(c: SimplicialComplex, faces=None) -> list[tuple[str, ...]]:
     """Label tuples of the facets of c, or of the given faces of c, sorted."""
-    return sorted(tuple(sorted(c.labels_of(f)))
-                  for f in (c.facets if faces is None else faces))
+    return sorted(map(c.labels_of, c.facets if faces is None else faces))
 
 
 def _attach_fresh(c: SimplicialComplex, rng: random.Random,
@@ -946,10 +941,7 @@ def _attach_fresh(c: SimplicialComplex, rng: random.Random,
 
 
 def _random_stellar(c: SimplicialComplex, rng: random.Random) -> SimplicialComplex:
-    faces = [
-        tuple(sorted(c.labels_of(f)))
-        for f in _sorted_faces(c) if len(f) >= 1
-    ]
+    faces = [c.labels_of(f) for f in _sorted_faces(c) if f]
     return stellar(c, rng.choice(faces)).total
 
 
@@ -1040,7 +1032,7 @@ class InstanceGenerator:
             return c
         if self.klass == "flag-ball":
             sphere = _grow_flag_sphere(rng, dim, budget)
-            vertex = rng.choice(sorted(sphere.vertex_labels))
+            vertex = rng.choice(sphere.vertex_labels)
             c = sphere.delete_vertex(vertex)
             if rng.random() < 0.4:
                 edges = _facet_labels(c, c.faces_of_dim(1))
@@ -1534,7 +1526,7 @@ def _conjecture_ball_reports(name: str, c: SimplicialComplex) -> list[Verificati
 
 def _sphere_link_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
     out = []
-    vertices = sorted(c.vertex_labels)
+    vertices = c.vertex_labels
     if c.dim is not None and c.dim >= 3 and len(vertices) > 4:
         rng = _rng(0, "linkpick", c.dim, len(vertices))
         vertices = sorted(rng.sample(vertices, 4))

@@ -70,7 +70,7 @@ def _ids(mask: int) -> Face:
 
 
 def _mask_labels(complex_: SimplicialComplex, mask: int) -> list[str]:
-    return sorted(complex_.labels_of(_ids(mask)))
+    return list(complex_.labels_of(_ids(mask)))
 
 
 def _slim(groups: dict[int, list[list[Face]]]) -> dict:
@@ -201,7 +201,7 @@ class Triangulation:
 
     def carrier_labels(self, face) -> tuple[str, ...]:
         kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
-        return tuple(_mask_labels(self._base, self._carrier_mask(kface)))
+        return self._base.labels_of(_ids(self._carrier_mask(kface)))
 
     @property
     def carrier_map(self) -> dict[LabelSet, LabelSet]:
@@ -324,21 +324,14 @@ class Triangulation:
         return Triangulation._on_masks(sub_base, sub_total, vmask, validate=False)
 
     def __eq__(self, other) -> bool:
-        # total equality fixes the vertex labels, and vertex carriers fix the
-        # rest; both sides are compared by label, not by id
+        # equal complexes have equal ids, so with equal bases and totals the
+        # vertex carrier masks say the rest
         return (
             isinstance(other, Triangulation)
             and self._base == other._base
             and self._total == other._total
-            and self._vertex_carriers() == other._vertex_carriers()
+            and self._vmask == other._vmask
         )
-
-    def _vertex_carriers(self) -> dict[str, LabelSet]:
-        base = self._base
-        return {
-            lab: frozenset(base.labels_of(_ids(m)))
-            for lab, m in zip(self._total.vertex_labels, self._vmask)
-        }
 
     def __hash__(self) -> int:
         return hash((self._base, self._total))
@@ -468,9 +461,8 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
 
     Vertices are integer weightings of base vertices with total weight r and
     support in a face.  Two weightings are compatible when the difference of
-    their partial-sum vectors, taken in the sorted order of the base's vertex
-    labels, has entries all in {0,1} or all in {0,-1}; so equal bases give
-    equal subdivisions, whatever their id order.  The facets over a base
+    their partial-sum vectors, taken in the base's id order (its sorted label
+    order), has entries all in {0,1} or all in {0,-1}.  The facets over a base
     facet, the maximal compatible sets of the weightings supported in it, are
     listed in closed form as Freudenthal walks: with the facet's vertices
     w_0, ..., w_d in that order, a weighting is its vector z of partial sums
@@ -483,8 +475,6 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
     r = int(r)
     if complex_.is_void or complex_.is_empty or r == 1:
         return identity(complex_)
-    order = sorted(complex_.vertices, key=complex_.table.label)
-    pos = {v: i for i, v in enumerate(order)}
 
     def walks(z: tuple[int, ...], free: tuple[int, ...]) -> Iterable[tuple]:
         # z ends with the fixed total r; step j keeps z monotone if z_j < z_(j+1)
@@ -498,17 +488,17 @@ def edgewise(complex_: SimplicialComplex, r: int) -> Triangulation:
 
     facets = []
     for facet in complex_.facets:
-        slots, d = sorted(pos[v] for v in facet), len(facet) - 1
+        d = len(facet) - 1
         for start in itertools.combinations_with_replacement(range(r + 1), d):
             for walk in walks(start + (r,), tuple(range(d))):
-                # a node is the weighting, as (position, weight) pairs
+                # a node is the weighting, as (vertex id, weight) pairs
                 facets.append([
-                    tuple((slot, b - a) for slot, a, b in zip(slots, (0,) + z, z) if b > a)
+                    tuple((v, b - a) for v, a, b in zip(facet, (0,) + z, z) if b > a)
                     for z in walk])
     return _subdivision(
         complex_, facets,
-        lambda node: "+".join(f"{complex_.table.label(order[p])}:{w}" for p, w in node),
-        lambda node: _mask(order[p] for p, _ in node))
+        lambda node: "+".join(f"{complex_.table.label(v)}:{w}" for v, w in node),
+        lambda node: _mask(v for v, _ in node))
 
 
 def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
@@ -521,10 +511,8 @@ def compose(outer: Triangulation, inner: Triangulation) -> Triangulation:
         raise PreconditionError(
             "compose needs outer.base equal to inner.total (same labels)"
         )
-    # outer's base ids and inner's total ids may order the labels differently
-    to_inner = [inner.total.table.id(lab) for lab in outer.base.vertex_labels]
-    vmask = [inner._carrier_mask([to_inner[b] for b in _ids(mask)])
-             for mask in outer._vmask]
+    # equal complexes have equal ids, so outer's base ids are inner's total ids
+    vmask = [inner._carrier_mask(_ids(mask)) for mask in outer._vmask]
     return Triangulation._on_masks(inner.base, outer.total, vmask)
 
 
@@ -541,8 +529,7 @@ def format_triangulation_text(tri: Triangulation) -> str:
     total = tri.total
     lines = [format_facet_text(total).rstrip("\n"), _SECTION_TOKEN]
     for labels in dict.fromkeys(itertools.chain(
-            (tuple(sorted(total.labels_of(f))) for f in total.facets),
-            ((v,) for v in sorted(total.vertex_labels)))):
+            map(total.labels_of, total.facets), ((v,) for v in total.vertex_labels))):
         if labels:
             rhs = " ".join(tri.carrier_labels(labels)) or _EMPTY_FACE_TOKEN
             lines.append(f"{' '.join(labels)} {_ARROW} {rhs}")

@@ -1,6 +1,7 @@
 """Complex construction, face queries, operations, and the facet file format."""
 
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from thetalab import (
     NotAFaceError,
     PreconditionError,
     SimplicialComplex,
+    barycentric,
     boundary_simplex,
     cross_polytope_boundary,
     cycle,
@@ -28,7 +30,7 @@ from thetalab import (
     union,
     write_facet_file,
 )
-from thetalab.complexes import format_facet_text
+from thetalab.complexes import LabelTable, format_facet_text
 from thetalab.homology import betti
 
 VOID = SimplicialComplex.from_facets([])
@@ -54,6 +56,9 @@ def test_from_facets_absorbs_non_maximal():
 def test_from_facets_drops_unused_labels_with_table():
     c = SimplicialComplex.from_facets([(0, 2)], labels=["a", "b", "c"])
     assert c.vertex_labels == ("a", "c")
+    # a LabelTable is read like a label sequence, and the ids are renumbered
+    d = SimplicialComplex.from_facets([(0, 2)], labels=LabelTable(["c", "b", "a"]))
+    assert (d.table, d.facets) == (c.table, c.facets)
     with pytest.raises(MalformedFaceError):
         SimplicialComplex.from_facets([(0, 5)], labels=["a", "b"])
 
@@ -120,7 +125,7 @@ def test_link():
 
 
 def _reversed_table(c):
-    """c again, with its label table in reverse id order."""
+    """c again, built from ids into its label table reversed."""
     n = len(c.vertex_labels)
     return SimplicialComplex.from_facets(
         [[n - 1 - v for v in f] for f in c.facets],
@@ -162,12 +167,30 @@ def test_link_matches_label_definition(idx):
 
 def test_link_rejects_non_faces():
     c = _reversed_table(example_5_4_ball())
-    assert c.vertex_labels != tuple(sorted(c.vertex_labels))
     for bad in [("a1", "b1"), ("u1", "u2"), ("nope",), (len(c.vertex_labels),)]:
         with pytest.raises(NotAFaceError):
             c.link(bad)
     with pytest.raises(MalformedFaceError):
         c.link((0, 0))
+
+
+def test_mixed_id_and_label_faces_are_malformed():
+    # every entry is checked before the face is sorted, so a label among ids
+    # is a malformed face, not a failed comparison
+    c = simplex("abc")
+    tri = barycentric(c)
+    for call in (lambda: c.link(("a", 0)), lambda: c.link((1, "b")),
+                 lambda: tri.carrier_of(("{a}", 0)),
+                 lambda: SimplicialComplex.from_facets([(0, "x")], labels=["a", "b"])):
+        with pytest.raises(MalformedFaceError, match="nonnegative integers"):
+            call()
+
+
+def test_face_reads_its_argument_once():
+    c = simplex("abc")
+    with pytest.raises(MalformedFaceError, match=re.escape("face ('a', 'a') repeats")):
+        c.face(x for x in "aa")
+    assert c.face(x for x in "cb") == c.face(("b", "c")) == (1, 2)
 
 
 def test_induced_and_delete_vertex():
@@ -240,13 +263,16 @@ _LABELS = ("a", "b", "c", "d", "e", "f")
 @st.composite
 def _built_twice(draw):
     """One random complex on up to 6 labels, void and empty included, built
-    through from_facets on ids with two random label table orders."""
+    through from_facets on ids with two random label table orders.  Both
+    copies number their vertices in sorted label order, so they are identical."""
     facets = draw(st.lists(st.sets(st.sampled_from(_LABELS), max_size=4), max_size=6))
     built = []
     for _ in range(2):
         table = draw(st.permutations(_LABELS))
         built.append(SimplicialComplex.from_facets(
             [[table.index(v) for v in f] for f in facets], labels=table))
+    assert all(c.vertex_labels == tuple(sorted(c.vertex_labels)) for c in built)
+    assert (built[0].table, built[0].facets) == (built[1].table, built[1].facets)
     return built
 
 

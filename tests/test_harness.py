@@ -335,6 +335,30 @@ def test_run_suite_keeps_no_face_set_of_a_built_total(monkeypatch):
             assert len(top) == counts[-1] and {len(f) for f in top} == {len(counts) - 1}
 
 
+def _memo_complexes(obj):
+    """The complexes in a run memo key or value, with the base and total of
+    each triangulation, searching tuples, lists and sets."""
+    if isinstance(obj, SimplicialComplex):
+        yield obj
+    elif isinstance(obj, Triangulation):
+        yield from (obj.base, obj.total)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for item in obj:
+            yield from _memo_complexes(item)
+
+
+def test_every_memo_complex_numbers_its_vertices_in_label_order():
+    # one numbering per complex: every complex a run builds, links, boundaries
+    # and triangulations included, has its label table in sorted order
+    with harness._run_cache():
+        run_suite("all", seed=0)
+        memo = dict(harness._RUN_CACHE)
+    complexes = list(_memo_complexes(list(memo.items())))
+    assert len({id(c) for c in complexes}) > 1000
+    unsorted = [c for c in complexes if c.vertex_labels != tuple(sorted(c.vertex_labels))]
+    assert unsorted == []
+
+
 def test_run_suite_certifies_no_total_over_a_non_simplex_base(monkeypatch):
     # the reference checks run only where the shelling search stalls, and no
     # built total stalls
@@ -653,15 +677,15 @@ def test_run_suite_builds_each_link_and_local_h_once(monkeypatch):
         assert calls and not repeated, repeated[:3]
 
 
-def test_base_face_records_keep_id_orders_apart():
-    # one base numbered two ways: faces are ids, so a run that checks both
-    # must report as separate runs do
+def test_base_face_records_match_separate_runs():
+    # one base given by labels and by ids into a reversed table: both get the
+    # sorted numbering, and a run that checks both reports as separate runs do
     facets = [("a", "b", "c"), ("a", "c", "d"), ("c", "d", "e"), ("d", "e", "f")]
     labels = list("fedcba")
     forward = SimplicialComplex.from_facets(facets)
     backward = SimplicialComplex.from_facets(
         [[labels.index(v) for v in f] for f in facets], labels=labels)
-    assert forward == backward and forward.table != backward.table
+    assert forward == backward and forward.table == backward.table
     tris = [maker(base) for base in (forward, backward) for _, maker in subdivision_kinds()]
 
     def checks(tri):
@@ -677,14 +701,14 @@ def test_base_face_records_keep_id_orders_apart():
 
 
 def test_run_memo_takes_equal_complexes_as_one_key(monkeypatch):
-    # the memo is keyed by the complexes, which compare by label: two equal
-    # balls on different id orders are certified once
+    # the memo is keyed by the complexes: two equal balls, one built from
+    # labels and one from ids into a shuffled table, are certified once
     facets = [("a", "b", "c"), ("b", "c", "d"), ("c", "d", "e")]
     labels = list("cebda")
     forward = SimplicialComplex.from_facets(facets)
     other = SimplicialComplex.from_facets(
         [[labels.index(v) for v in f] for f in facets], labels=labels)
-    assert forward == other and forward.facets != other.facets
+    assert forward == other and forward is not other
     calls = []
 
     certify = harness.shelled_boundary
