@@ -18,14 +18,7 @@ from collections import Counter
 
 from . import harness
 from .complexes import is_induced_subcomplex, read_facet_file
-from .errors import (
-    ConsistencyError,
-    FileFormatError,
-    InvalidTriangulationError,
-    MalformedFaceError,
-    NotAFaceError,
-    PreconditionError,
-)
+from .errors import ConsistencyError, PreconditionError, ThetaLabError
 from .homology import (
     has_interior_vertex_property,
     is_cohen_macaulay,
@@ -163,20 +156,22 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    reports = harness.run_suite(
-        suite=args.suite, seed=args.seed, max_dim=args.max_dim)
+def _print_reports(reports) -> None:
+    """The reports as JSON lines on stdout, their summary on stderr."""
     for r in reports:
         print(r.to_json())
     print(harness.summarize(reports), file=sys.stderr)
+
+
+def _cmd_verify(args) -> int:
+    reports = harness.run_suite(
+        suite=args.suite, seed=args.seed, max_dim=args.max_dim)
+    _print_reports(reports)
     return 1 if harness.failures(reports) else 0
 
 
 def _cmd_scan(args) -> int:
-    reports = harness.scan_reports(args.kind, args.seed, args.max_dim)
-    for r in reports:
-        print(r.to_json())
-    print(harness.summarize(reports), file=sys.stderr)
+    _print_reports(harness.scan_reports(args.kind, args.seed, args.max_dim))
     return 0
 
 
@@ -244,16 +239,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, MalformedFaceError, NotAFaceError,
-            PreconditionError, InvalidTriangulationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConsistencyError as exc:
         print(f"identity failure: {exc}", file=sys.stderr)
         return 1
+    except (ThetaLabError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

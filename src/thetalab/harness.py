@@ -137,6 +137,14 @@ class VerificationReport:
         return json.dumps(vars(self), sort_keys=True)
 
 
+def _inapplicable(identity: str, instance: str, detail: str, kind: str = "theorem",
+                  lhs: str = "", rhs: str = "") -> VerificationReport:
+    """The report of a statement whose hypotheses fail on the instance:
+    passed, not applicable, and detail naming the unmet hypothesis."""
+    return VerificationReport(identity, instance, lhs, rhs, True, kind=kind,
+                              applicable=False, detail=detail)
+
+
 def failures(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
     """Reports that falsify a settled statement (identity or theorem)."""
     return [
@@ -260,29 +268,12 @@ def _sd_theta(c: SimplicialComplex) -> IntPoly:
     return theta_verified(_built("sd", c).total)
 
 
-@dataclasses.dataclass(frozen=True)
-class BaseProfile:
-    """Verified classification of a base complex, memoized per complex."""
-
-    boundary: SimplicialComplex | None
-    is_sphere: bool
-    is_cm: bool
-    is_cm_star: bool
-
-    @property
-    def is_ball(self) -> bool:
-        return self.boundary is not None
+def _cm(c: SimplicialComplex) -> bool:
+    return _cached("cm", c, lambda: is_cohen_macaulay(c))
 
 
-def base_profile(c: SimplicialComplex) -> BaseProfile:
-    def compute() -> BaseProfile:
-        bd = verified_boundary(c)
-        sphere = _verified_sphere(c)
-        cm = is_cohen_macaulay(c)
-        cm_star = is_cohen_macaulay_star(c) if cm else False
-        return BaseProfile(bd, sphere, cm, cm_star)
-
-    return _cached("profile", c, compute)
+def _cm_star(c: SimplicialComplex) -> bool:
+    return _cached("cm*", c, lambda: _cm(c) and is_cohen_macaulay_star(c))
 
 
 # -------------------------------------------------- corpus and triangulations
@@ -494,12 +485,6 @@ def _centered_unimodal(p: IntPoly, n: int) -> bool:
     return all(c[i] <= c[i + 1] for i in range(n // 2))
 
 
-def _edge_count(c: SimplicialComplex) -> int:
-    """The number of edges: the distinct 2-subsets of the facets, counted
-    without filling the complex's face set."""
-    return len({e for f in c.facets for e in itertools.combinations(f, 2)})
-
-
 @_run_cache()
 def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
     """Symmetry, closed forms, positivity, and the symmetric decomposition of h.
@@ -516,7 +501,6 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
     hp = _h(c)
     hbd = _h(bd)
     r = len(c.vertices) - len(bd.vertices)
-    interior_edges = _edge_count(c) - _edge_count(bd)
 
     sym_ok = reverse(th, n) == th and th[0] == 0 and th[1] == r - 1
     out.append(VerificationReport(
@@ -532,8 +516,8 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
             kind="theorem",
         ))
     if n >= 3:
-        f0 = len(c.vertices)
-        expected_c2 = interior_edges - f0 - (n - 2) * r + n - 1
+        interior_edges = c.f_vector()[2] - bd.f_vector()[2]
+        expected_c2 = interior_edges - len(c.vertices) - (n - 2) * r + n - 1
         out.append(VerificationReport(
             "Ex3.3d", name, str(th[2]), str(expected_c2),
             th[2] == expected_c2, kind="theorem",
@@ -557,10 +541,8 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
             kind="theorem", detail="theta of every boundary-face link",
         ))
     else:
-        out.append(VerificationReport(
-            "Prop3.6a", name, th.text(), "0", True, kind="theorem",
-            applicable=False, detail="no interior vertex property",
-        ))
+        out.append(_inapplicable("Prop3.6a", name, "no interior vertex property",
+                                 lhs=th.text(), rhs="0"))
 
     dec = symmetric_decomposition(hp, n - 1)
     theta_shifted = IntPoly(th.coeffs[1:]) if th.coeffs else IntPoly.zero()
@@ -597,10 +579,8 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
             half, kind="theorem",
         ))
     else:
-        out.append(VerificationReport(
-            "Thm5.1", name, th.text(), "unimodal", True, kind="theorem",
-            applicable=False, detail="boundary is not induced",
-        ))
+        out.append(_inapplicable("Thm5.1", name, "boundary is not induced",
+                                 lhs=th.text(), rhs="unimodal"))
     return out
 
 
@@ -701,10 +681,7 @@ def _monotonicity_b_parts(
             detail="nonnegative and unimodal theta and difference",
         ))
     else:
-        out.append(VerificationReport(
-            "Thm4.2a", instance, "", "", True, kind="theorem",
-            applicable=False, detail="not a theta unimodal triangulation",
-        ))
+        out.append(_inapplicable("Thm4.2a", instance, "not a theta unimodal triangulation"))
     if flags.gamma_positive:
         ok = is_gamma_positive(lhs, n) and is_gamma_positive(diff, n)
         out.append(VerificationReport(
@@ -712,10 +689,8 @@ def _monotonicity_b_parts(
             detail="gamma-positive theta and difference",
         ))
     else:
-        out.append(VerificationReport(
-            "Thm4.2b", instance, "", "", True, kind="theorem",
-            applicable=False, detail="not a theta gamma-positive triangulation",
-        ))
+        out.append(_inapplicable("Thm4.2b", instance,
+                                 "not a theta gamma-positive triangulation"))
     return out
 
 
@@ -748,11 +723,9 @@ def verify_monotonicity_c(
             kind="identity", detail="exact gap after removing a pendant vertex",
         )
     if not no_facet_on_union_boundaries(outer, bd_outer, bd_inner):
-        return VerificationReport(
-            "Thm4.6", instance, t_outer.text(), t_inner.text(), True,
-            kind="theorem", applicable=False,
-            detail="a facet lies on the union of the boundaries",
-        )
+        return _inapplicable("Thm4.6", instance,
+                             "a facet lies on the union of the boundaries",
+                             lhs=t_outer.text(), rhs=t_inner.text())
     return VerificationReport(
         "Thm4.6", instance, t_outer.text(), t_inner.text(),
         poly_geq(t_outer, t_inner), kind="theorem",
@@ -796,10 +769,7 @@ def check_conjecture_5_3(
         detail = ", ".join(reasons)
         if bd is not None and not c.is_empty:
             detail += f"; theta={theta_verified(c).text()}"
-        return VerificationReport(
-            "Conj5.3", instance, "", "", True, kind="conjecture",
-            applicable=False, detail=detail,
-        )
+        return _inapplicable("Conj5.3", instance, detail, kind="conjecture")
     return _gamma_report(
         "Conj5.3", instance, theta_verified(c), c.dim + 1, kind="conjecture")
 
@@ -814,10 +784,8 @@ def check_link_conjecture(
 ) -> VerificationReport:
     """Coefficientwise gamma domination of a flag sphere over a vertex link."""
     if not c.is_flag() or not _verified_sphere(c):
-        return VerificationReport(
-            "Prop5.5ii", instance, "", "", True, kind="conjecture",
-            applicable=False, detail="not a verified flag sphere",
-        )
+        return _inapplicable("Prop5.5ii", instance, "not a verified flag sphere",
+                             kind="conjecture")
     g_sphere = _gamma_poly(c)
     g_link = _gamma_poly(c.link((vertex,)))
     return VerificationReport(
@@ -1097,7 +1065,7 @@ def _bases(max_dim: int) -> list[tuple[str, SimplicialComplex]]:
 
 def _generated_balls(seed: int, max_dim: int, samples: int):
     gen = InstanceGenerator(seed, "ball", max_dim)
-    return gen.instances(samples, dims=range(1, max_dim + 1))
+    return gen.instances(samples)
 
 
 def _locality_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
@@ -1127,7 +1095,10 @@ def _h_corollary_reports(
     inst: str, kname: str, base: SimplicialComplex, tri: Triangulation
 ) -> list[VerificationReport]:
     """The h-polynomial conclusions drawn from theta classes of the cover."""
-    profile = base_profile(base)
+    ball = verified_boundary(base) is not None
+    sphere = _verified_sphere(base)
+    cm = _cm(base)
+    cm_star = _cm_star(base)
     n = base.dim + 1
     out: list[VerificationReport] = []
     flags = triangulation_theta_flags(tri)
@@ -1135,43 +1106,43 @@ def _h_corollary_reports(
     h_sd = _sd_h(base)
     diff = h_total - h_sd
 
-    if profile.is_cm and flags.positive:
+    if cm and flags.positive:
         out.append(VerificationReport(
             "Cor3.7a", inst, h_total.text(), h_sd.text(),
             poly_geq(h_total, h_sd), kind="theorem",
         ))
-    if profile.is_cm and flags.unimodal:
+    if cm and flags.unimodal:
         out.append(VerificationReport(
             "Cor3.8a", inst, h_total.text(), f"peak in {_peak_window(n)}",
             _peaked(h_total, n), kind="theorem",
         ))
         out.append(_unimodal_report("Cor3.8a-diff", inst, diff))
-    if profile.is_sphere:
+    if sphere:
         if flags.unimodal:
             out.append(_unimodal_report("Cor3.9a", inst, h_total))
         if flags.gamma_positive:
             out.append(_gamma_report("Cor3.9a-gamma", inst, h_total, n))
             out.append(_gamma_report("Cor3.9a-gamma-diff", inst, diff, n))
-    if profile.is_cm_star and flags.unimodal:
+    if cm_star and flags.unimodal:
         out.append(_decomposition_report(
             "Cor3.9b", inst, h_total, n, gamma=flags.gamma_positive))
-    if profile.is_ball and flags.unimodal:
+    if ball and flags.unimodal:
         out.append(_decomposition_report(
             "Cor3.9c", inst, h_total, n - 1, gamma=flags.gamma_positive))
 
     if kname == "antiprism":
-        if profile.is_cm:
+        if cm:
             out.append(VerificationReport(
                 "Cor6.1a", inst, h_total.text(), f"peak in {_peak_window(n)}",
                 is_nonnegative(h_total) and _peaked(h_total, n),
                 kind="theorem",
             ))
-        if profile.is_sphere:
+        if sphere:
             out.append(_gamma_report("Cor6.1b", inst, h_total, n))
-        if profile.is_cm_star:
+        if cm_star:
             out.append(_decomposition_report(
                 "Cor6.1c", inst, h_total, n, gamma=True))
-        if profile.is_ball:
+        if ball:
             out.append(_decomposition_report(
                 "Cor6.1d", inst, h_total, n - 1, gamma=True))
     return out
@@ -1263,8 +1234,7 @@ def _prop_2_3_reports(name: str, c: SimplicialComplex) -> list[VerificationRepor
     Constructive witness: split each transform row at its own center and
     group the halves by the three centers of symmetry.
     """
-    profile = base_profile(c)
-    if not profile.is_cm or c.is_empty or c.is_void:
+    if c.is_empty or c.is_void or not _cm(c):
         return []
     n = c.dim + 1
     hs = _h(c).padded(n + 1)
@@ -1403,25 +1373,22 @@ def _monotone_reports(seed: int, max_dim: int, samples: int) -> list[Verificatio
 def _monotone_instance_reports(
     inst: str, base: SimplicialComplex, tri: Triangulation
 ) -> list[VerificationReport]:
-    out = []
+    return [
+        _gated("Thm4.1", verify_monotonicity_a, base, tri, inst),
+        *_monotone_proof_identities(base, tri, inst),
+        _gated("Thm4.2", verify_monotonicity_b, base, tri, inst),
+        *_monotonicity_b_parts(base, tri, inst, triangulation_theta_flags(tri)),
+    ]
+
+
+def _gated(ident: str, check: Callable, ball: SimplicialComplex, tri: Triangulation,
+           inst: str) -> VerificationReport:
+    """check(ball, tri, inst), or the inapplicable ident report when check
+    refuses its hypotheses."""
     try:
-        out.append(verify_monotonicity_a(base, tri, inst))
+        return check(ball, tri, inst)
     except PreconditionError as exc:
-        out.append(VerificationReport(
-            "Thm4.1", inst, "", "", True, kind="theorem",
-            applicable=False, detail=str(exc),
-        ))
-    out.extend(_monotone_proof_identities(base, tri, inst))
-    flags = triangulation_theta_flags(tri)
-    try:
-        out.append(verify_monotonicity_b(base, tri, inst))
-    except PreconditionError as exc:
-        out.append(VerificationReport(
-            "Thm4.2", inst, "", "", True, kind="theorem",
-            applicable=False, detail=str(exc),
-        ))
-    out.extend(_monotonicity_b_parts(base, tri, inst, flags))
-    return out
+        return _inapplicable(ident, inst, str(exc))
 
 
 def _rem43_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
@@ -1445,12 +1412,9 @@ def _remark_4_7_reports() -> list[VerificationReport]:
     gap = IntPoly((0, 0, 1))
     inst = f"esd4(simplex3) minus star({vertex})"
     out = [verify_monotonicity_c(outer, inner, inst, expected_gap=gap)]
-    bd_outer = verified_boundary(outer)
-    assert bd_outer is not None
+    ivp = has_interior_vertex_property(outer, verified_boundary(outer))
     out.append(VerificationReport(
-        "Rem4.7", inst, str(has_interior_vertex_property(outer, bd_outer)),
-        "False", not has_interior_vertex_property(outer, bd_outer),
-        kind="theorem",
+        "Rem4.7", inst, str(ivp), "False", not ivp, kind="theorem",
         detail="the gap family never has the interior vertex property",
     ))
     return out
@@ -1471,18 +1435,11 @@ def _pair_reports(seed: int, max_dim: int, samples: int) -> list[VerificationRep
         try:
             out.append(verify_monotonicity_c(outer, inner, name))
         except PreconditionError as exc:
-            out.append(VerificationReport(
-                "Thm4.6", name, "", "", True, kind="theorem",
-                applicable=False, detail=str(exc),
-            ))
+            out.append(_inapplicable("Thm4.6", name, str(exc)))
             continue
-        bd_inner = verified_boundary(inner)
-        bd_outer = verified_boundary(outer)
-        if bd_inner is None or bd_outer is None:
-            continue
-        both_ivp = (has_interior_vertex_property(inner, bd_inner)
-                    and has_interior_vertex_property(outer, bd_outer))
-        if both_ivp:
+        # verify_monotonicity_c certified both boundaries
+        if (has_interior_vertex_property(inner, verified_boundary(inner))
+                and has_interior_vertex_property(outer, verified_boundary(outer))):
             holds = poly_geq(theta_verified(outer), theta_verified(inner))
             out.append(VerificationReport(
                 "Q4.5", name, theta_verified(outer).text(),
@@ -1603,14 +1560,9 @@ def run_suite(
     _check_max_dim(max_dim)
     out: list[VerificationReport] = []
     with _run_cache():
-        if suite in ("locality", "all"):
-            out += _locality_reports(seed, max_dim, samples)
-        if suite in ("theta", "all"):
-            out += _theta_reports(seed, max_dim, samples)
-        if suite in ("kms", "all"):
-            out += _kms_reports(seed, max_dim, samples)
-        if suite in ("monotone", "all"):
-            out += _monotone_reports(seed, max_dim, samples)
-        if suite in ("conjectures", "all"):
-            out += _conjecture_reports(seed, max_dim, samples)
+        for name, reports in (("locality", _locality_reports), ("theta", _theta_reports),
+                              ("kms", _kms_reports), ("monotone", _monotone_reports),
+                              ("conjectures", _conjecture_reports)):
+            if suite in (name, "all"):
+                out += reports(seed, max_dim, samples)
     return out

@@ -430,11 +430,7 @@ def has_interior_vertex_property(
     complex_: SimplicialComplex, boundary: SimplicialComplex
 ) -> bool:
     """Whether every facet contains a vertex missing from the boundary."""
-    bd_vertices = set(boundary.vertex_labels) if not boundary.is_void else set()
-    for facet in complex_.facets:
-        if all(lab in bd_vertices for lab in complex_.labels_of(facet)):
-            return False
-    return True
+    return no_facet_on_union_boundaries(complex_, boundary, boundary)
 
 
 def no_facet_on_union_boundaries(

@@ -326,8 +326,7 @@ def pnk(n: int, k: int) -> IntPoly:
 
     Defined by p_{0,0} = 1 and the recurrence
     p_{n,k} = x * sum_{i<k} p_{n-1,i} + sum_{i=k}^{n} p_{n-1,i},
-    where the out-of-range term p_{n-1,n} is zero.  The lru_cache publishes
-    fully constructed immutable entries, so concurrent readers are safe.
+    where the out-of-range term p_{n-1,n} is zero.
     """
     if n < 0 or not 0 <= k <= n:
         raise PreconditionError(f"pnk needs 0 <= k <= n, got ({n}, {k})")

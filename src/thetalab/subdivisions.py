@@ -568,7 +568,7 @@ def parse_triangulation_text(text: str) -> Triangulation:
     if total.is_void:
         if carrier_lines:
             raise FileFormatError("carrier lines given for a void total complex")
-        return Triangulation(SimplicialComplex.from_facets([]), total, {}, validate=False)
+        return Triangulation(SimplicialComplex.from_facets([]), total, {})
     try:
         base = SimplicialComplex.from_facets([rhs for _, rhs in carrier_lines] or [()])
     except MalformedFaceError as exc:

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from thetalab import (
+    ConsistencyError,
     SimplicialComplex,
     barycentric,
     example_5_2_ball,
@@ -201,6 +202,23 @@ def test_subdivide_stellar_needs_actual_face(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", [
+    "a b\n%\na ->\nb -> b\n",  # a carrier line with one side
+    "%\na -> a\n",  # carrier lines for a void total
+    "m a\n%\nm -> a @\na -> a\n",  # a bad carrier face
+    "a\n%\na -> a\n@ -> a\n",  # the empty face carried to a vertex
+])
+def test_classify_malformed_triangulation_exits_cleanly(tmp_path, capsys, text):
+    target = tmp_path / "bad.tri"
+    target.write_text(text)
+    assert main(["classify", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -217,6 +235,17 @@ def test_verify_emits_jsonl_and_summary(tmp_path, capsys):
         assert record["passed"] is True
     assert "identity/theorem failures" in captured.err
     assert "Thm2.1" in captured.err
+
+
+def test_consistency_error_exits_with_an_identity_failure(monkeypatch, capsys):
+    def disagree(*args, **kwargs):
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setattr(cli.harness, "run_suite", disagree)
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["identity failure: two routes disagree"]
 
 
 # -------------------------------------------------------------------- scan

@@ -202,6 +202,21 @@ def test_induced_and_delete_vertex():
         c.delete_vertex("v9")
 
 
+
+def test_induced_and_delete_vertex_reject_out_of_range_ids():
+    c = simplex("abc")
+    for bad in (3, -1):
+        with pytest.raises(NotAFaceError, match="outside complex"):
+            c.induced([0, bad])
+        with pytest.raises(NotAFaceError, match="not in complex"):
+            c.delete_vertex(bad)
+
+
+def test_from_facets_rejects_duplicate_labels():
+    with pytest.raises(MalformedFaceError, match="duplicate vertex labels"):
+        SimplicialComplex.from_facets([(0, 1)], labels=["a", "a"])
+
+
 def _induced_by_labels(c, labels):
     """The induced subcomplex straight from its definition, built from labels."""
     keep = set(labels)
@@ -343,6 +358,11 @@ def test_union_and_subcomplex_predicates():
     assert is_subcomplex(wedge, tri)
     assert not is_induced_subcomplex(wedge, tri)
     assert is_subcomplex(VOID, tri)
+
+
+def test_is_induced_subcomplex_needs_a_subcomplex():
+    with pytest.raises(PreconditionError, match="not a subcomplex"):
+        is_induced_subcomplex(simplex("abd"), simplex("abc"))
 
 
 def test_fresh_label():

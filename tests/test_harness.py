@@ -1,9 +1,11 @@
 """Verification harness: suites, report plumbing, generators, scans."""
 
+import ast
 import dataclasses
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from thetalab import (
     SimplicialComplex,
     Triangulation,
     barycentric,
+    boundary_simplex,
     boundary_subcomplex,
     cycle,
     example_5_2_ball,
@@ -516,6 +519,16 @@ def test_conjecture_5_3_non_flag():
     assert "not flag" in r.detail
 
 
+@pytest.mark.parametrize("c, vertex", [
+    (boundary_simplex("abcd"), "a"),  # a sphere, not flag
+    (path(3), "v0"),  # flag, not a sphere
+])
+def test_link_conjecture_inapplicable(c, vertex):
+    assert check_link_conjecture(c, vertex, "x") == VerificationReport(
+        "Prop5.5ii", "x", "", "", True, kind="conjecture", applicable=False,
+        detail="not a verified flag sphere")
+
+
 def test_link_conjecture():
     r = check_link_conjecture(octahedron(), "x1", "octahedron/x1")
     assert r.passed
@@ -602,6 +615,29 @@ def test_run_suite_all_small():
     for required in ("Thm2.1", "Eq3.3", "Eq3.4", "Thm4.1", "Thm4.2",
                      "Prop3.2", "Eq5.1", "Conj5.3", "Prop5.5ii"):
         assert required in idents, required
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inapplicable_reports_pass_and_name_the_unmet_hypothesis(seed):
+    skipped = [r for r in run_suite("all", seed=seed) if not r.applicable]
+    assert skipped
+    for r in skipped:
+        assert r.passed and r.detail and r.kind in ("theorem", "conjecture"), r
+
+
+def test_only_the_inapplicable_constructor_sets_applicable():
+    # VerificationReport's seventh positional field is applicable
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_inapplicable"
+               for node in ast.walk(fn)}
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "VerificationReport" and id(node) not in allowed
+        and (len(node.args) > 6 or any(k.arg == "applicable" for k in node.keywords))
+    ]
+    assert not found
 
 
 def test_run_suite_repeats_within_one_process():

@@ -650,6 +650,13 @@ def test_interior_vertex_property():
     assert not has_interior_vertex_property(tet, boundary_subcomplex(tet))
 
 
+def test_interior_vertex_property_with_a_void_boundary():
+    void = SimplicialComplex.from_facets([])
+    for c, expected in ((octahedron(), True), (simplex("ab"), True), (EMPTY, False)):
+        assert has_interior_vertex_property(c, void) is expected
+        assert no_facet_on_union_boundaries(c, void, void) is expected
+
+
 def test_no_facet_on_union_boundaries():
     c = simplex("abc")
     bd = boundary_subcomplex(c)

@@ -280,6 +280,13 @@ def test_carrier_map_rejects_conflicts():
         Triangulation(base, base, bad)
 
 
+def test_carrier_map_rejects_a_vertex_given_by_label_and_by_id():
+    # ("a",) and (0,) name the same vertex
+    with pytest.raises(InvalidTriangulationError, match="conflicting carriers"):
+        Triangulation(simplex("ab"), simplex("ab"),
+                      {("a",): ("a",), (0,): ("b",), ("b",): ("b",)})
+
+
 def test_validate_catches_non_ball_restriction():
     # map both endpoints of a 2-path onto one base edge: the restriction to
     # the base edge is the whole path, but the vertex restrictions break
@@ -453,6 +460,29 @@ def test_parse_triangulation_errors():
     with pytest.raises(FileFormatError):
         parse_triangulation_text(
             "a b\n%\na -> a\nb -> b\na b -> a b\na b -> a\n")
+
+
+# (text, message) for each carrier-section rejection of the parser
+BAD_CARRIER_SECTIONS = [
+    ("a b\n%\na ->\nb -> b\n", "carrier line needs both sides"),
+    ("%\na -> a\n", "carrier lines given for a void total complex"),
+    ("m a\n%\nm -> a @\na -> a\n", "bad carrier face"),
+    ("a\n%\na -> a\n@ -> a\n", "the empty face must carry to the empty face"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_CARRIER_SECTIONS)
+def test_parse_triangulation_rejects_bad_carrier_lines(text, message):
+    with pytest.raises(FileFormatError, match=message):
+        parse_triangulation_text(text)
+
+
+def test_parse_triangulation_skips_comments_and_blank_lines():
+    tri = barycentric(simplex("ab"))
+    lines = format_triangulation_text(tri).splitlines()
+    commented = "# a barycentric edge\n\n" + "\n\n".join(
+        f"{line}  # line {i}" for i, line in enumerate(lines)) + "\n"
+    assert parse_triangulation_text(commented) == tri
 
 
 def test_parse_triangulation_reconstructs_base():
