@@ -12,7 +12,6 @@ so conflating them is always a bug.
 
 from __future__ import annotations
 
-import collections
 import itertools
 from typing import Iterable
 
@@ -140,7 +139,7 @@ class SimplicialComplex:
     label sets do, whatever route built them.
     """
 
-    __slots__ = ("_table", "_facets", "_dim", "_all_faces", "_hash")
+    __slots__ = ("_table", "_facets", "_dim", "_fvec", "_hash")
 
     def __init__(self, table: LabelTable, facets: tuple[Face, ...]):
         # Internal constructor: `from_facets` is the validated entry point.
@@ -149,7 +148,7 @@ class SimplicialComplex:
         self._table = table
         self._facets = facets
         self._dim = max(map(len, facets)) - 1 if facets else None
-        self._all_faces: frozenset[Face] | None = None
+        self._fvec: tuple[int, ...] | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -230,48 +229,52 @@ class SimplicialComplex:
     def labels_of(self, face: Face) -> tuple[str, ...]:
         return self._table.labels_of(face)
 
-    def faces(self) -> frozenset[Face]:
-        """All faces, including the empty face for non-void complexes."""
-        if self._all_faces is None:
-            self._all_faces = self._face_set()
-        return self._all_faces
+    def _of_size(self, k: int) -> Iterable[Face]:
+        """The faces of size k, once per facet that holds them."""
+        return itertools.chain.from_iterable(
+            map(itertools.combinations, self._facets, itertools.repeat(k)))
 
-    def _face_set(self) -> frozenset[Face]:
-        """faces(), read from the cache when it is filled; never fills it."""
-        if self._all_faces is not None:
-            return self._all_faces
-        acc: set[Face] = {()} if self._facets else set()
-        for k in range(1, (self._dim or 0) + 2):
-            acc.update(itertools.chain.from_iterable(
-                map(itertools.combinations, self._facets, itertools.repeat(k))))
-        return frozenset(acc)
+    def faces(self) -> frozenset[Face]:
+        """All faces, including the empty face for non-void complexes.  They
+        are enumerated afresh on every call, a size at a time from the facets,
+        and only the f-vector counted on the way is kept."""
+        by_size = [set(self._of_size(k)) for k in range(0 if self.is_void else self._dim + 2)]
+        self._fvec = tuple(map(len, by_size))
+        return frozenset().union(*by_size)
 
     def faces_of_dim(self, d: int) -> tuple[Face, ...]:
         """The faces of dimension d, sorted."""
-        return tuple(sorted(f for f in self.faces() if len(f) == d + 1))
+        return tuple(sorted(set(self._of_size(d + 1)))) if d >= -1 else ()
 
     def f_vector(self) -> tuple[int, ...]:
         """(f_{-1}, f_0, ..., f_{dim}); the void complex has the empty f-vector."""
-        if self.is_void:
-            return ()
-        counts = collections.Counter(map(len, self.faces()))
-        return tuple(counts[i] for i in range(self._dim + 2))
+        if self._fvec is None:
+            self.faces()
+        return self._fvec
 
     def reduced_euler(self) -> int:
         """Alternating face count, with the empty face contributing -1."""
         return -sum((-1) ** i * n for i, n in enumerate(self.f_vector()))
 
     def __contains__(self, face: Face) -> bool:
-        return tuple(face) in self.faces()
+        """Whether an id face, as a sorted tuple, lies in some facet."""
+        face = tuple(face)
+        return (all(isinstance(v, int) for v in face) and list(face) == sorted(set(face))
+                and any(map(set(face).issubset, self._facets)))
 
     def _face_arg(self, face) -> Face:
         """Accept a face as ids or as labels and return the id form."""
+        return self._face_in(face, self)
+
+    def _face_in(self, face, faces) -> Face:
+        """_face_arg, checked against `faces`: this complex, which scans its
+        facets, or the faces() of a reader that checks many faces."""
         face = tuple(face)
         if face and all(isinstance(v, str) for v in face):
             face = self._table.face(face)
         else:
             face = _as_id_face(face)
-        if face not in self.faces():
+        if face not in faces:
             known = face and face[-1] < len(self._table)
             raise NotAFaceError(f"{self.labels_of(face) if known else face} is not a face")
         return face
@@ -288,8 +291,8 @@ class SimplicialComplex:
         Its facets are F minus the face for the facets F containing the face,
         found by one scan of the facets, and distinct and maximal because the
         F are; its label table is this complex's, cut to the vertices that
-        occur.  The empty face's link is this complex itself, with its cached
-        faces.  The face is not validated again.
+        occur.  The empty face's link is this complex itself.  The face is not
+        validated again.
         """
         if not face:
             return self
@@ -340,7 +343,7 @@ class SimplicialComplex:
             raise PreconditionError("flagness is undefined for the void complex")
         faces = self.faces()
         nbr: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for (a, b) in self.faces_of_dim(1):
+        for (a, b) in (f for f in faces if len(f) == 2):
             nbr[a].add(b)
             nbr[b].add(a)
 
@@ -361,7 +364,7 @@ class SimplicialComplex:
         return frozenset(frozenset(self._table.labels_of(f)) for f in self._facets)
 
     def face_labelsets(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(self._table.labels_of(f)) for f in self._face_set())
+        return frozenset(frozenset(self._table.labels_of(f)) for f in self.faces())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -390,14 +393,15 @@ def union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
 
 
 def is_subcomplex(inner: SimplicialComplex, outer: SimplicialComplex) -> bool:
-    """Whether every face of inner is a face of outer, matched by label."""
+    """Whether every face of inner is a face of outer, matched by label: the
+    facets of inner are looked up in one faces() call of outer."""
     if inner.is_void:
         return True
     if not all(map(outer.table.__contains__, inner.vertex_labels)):
         return False
     # both tables are sorted, so the id map keeps each face's order
     to_outer = [outer.table.id(lab) for lab in inner.vertex_labels]
-    outer_faces = outer._face_set()
+    outer_faces = outer.faces()
     return all(tuple(map(to_outer.__getitem__, f)) in outer_faces for f in inner.facets)
 
 

@@ -11,10 +11,10 @@ to aggregate reports; consumers should treat them as opaque labels.
 Every ball and sphere hypothesis is certified, whatever the size, by a
 shelling (homology.shelled_boundary) or, where its search stalls, by
 is_homology_ball and is_homology_sphere.
-The run memo is the only cache: within one run_suite or scan_reports call,
-or one direct call of a check that opens it, results are memoized by
-complex, equal complexes sharing one entry, each shelled once, and the memo
-lasts that one call, so no run sees another's facts.
+The run memo is the only cache, as no complex keeps its face set: within
+one run_suite or scan_reports call, or one direct call of a check that opens
+it, results are memoized by complex, equal complexes sharing one entry, each
+shelled once, and the memo lasts that one call, so no run sees another's facts.
 It holds the triangulations as well: each kind of subdivision of a complex
 is built once per run, and each complex's h-polynomial is computed once.
 Every expansion over base faces reads the base's faces and their links, and
@@ -22,7 +22,7 @@ a triangulation's local h and restriction thetas, each listed once per run
 in one face order, and the local h of each triangulation of a simplex once
 per run.  Local h, carrier patterns and the h of each built total are read
 off the carrier index, and a shelling reads only facets, so certifying a
-total builds no face set of it.  The theta of a restriction is kept once per
+built total enumerates none of its faces.  The theta of a restriction is kept once per
 triangulation and base face, and shared by carrier pattern: restrictions
 with equal face counts and equal largest faces, their vertices named by
 carrier and rank, are isomorphic, carriers kept, once one of them is a
@@ -425,7 +425,7 @@ def triangulation_theta_flags(tri: Triangulation) -> ThetaClass:
 
 def _sorted_faces(c: SimplicialComplex):
     """The faces of c by size, then by their ids, which is their label order."""
-    return sorted(c._face_set(), key=lambda f: (len(f), f))
+    return sorted(c.faces(), key=lambda f: (len(f), f))
 
 
 # ----------------------------------------------------------- identity checks

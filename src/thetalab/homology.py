@@ -113,10 +113,6 @@ class HomologyProfile:
         j = i + 1
         return self.betti[j] if 0 <= j < len(self.betti) else 0
 
-    @property
-    def top_dim(self) -> int:
-        return len(self.betti) - 2
-
     def euler(self) -> int:
         return sum((-1) ** (j - 1) * v for j, v in enumerate(self.betti))
 
@@ -272,9 +268,9 @@ def _links_pass(complex_: SimplicialComplex, field: int | None, counts: dict[Fac
         b = _surface_betti(triangles, field) or betti(complex_._link_ids(face), field).betti
         if not link_ok(face, b):
             return False
-    # the faces of codimension 4 or more, by size and then in sorted order
-    small = sorted(f for f in complex_.faces() if len(f) <= n - 4) if n >= 4 else ()
-    for face in sorted(small, key=len):
+    # the faces of codimension 4 or more, from the facets, by size and then ids
+    small = {f for k in range(n - 3) for f in complex_._of_size(k)}
+    for face in sorted(small, key=lambda f: (len(f), f)):
         if not link_ok(face, betti(complex_._link_ids(face), field).betti):
             return False
     return True

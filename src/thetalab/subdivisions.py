@@ -14,7 +14,7 @@ validate enumerates the faces once, level by level from the facets, grouped
 by mask and size: each level's subfaces are both the next level and its
 purity witnesses.  It names the first violation in a fixed order and keeps
 the index.  Local h of a restriction sums its counts (see invariants), and
-the harness reads h and restriction patterns from it, filling no face cache.
+the harness reads h and restriction patterns from it, enumerating no faces.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -112,9 +112,10 @@ class Triangulation:
         self._index: dict[int, tuple[tuple[Face, ...], ...]] | None = None
         vmask: list[int | None] = [None] * len(total.table)
         higher: list[tuple[Face, int]] = []
+        total_faces, base_faces = total.faces(), base.faces()
         for key, value in carrier.items():
-            kface = total._face_arg(tuple(key))
-            mask = _mask(base._face_arg(tuple(value)))
+            kface = total._face_in(key, total_faces)
+            mask = _mask(base._face_in(value, base_faces))
             if len(kface) != 1:
                 higher.append((kface, mask))
             elif vmask[kface[0]] is None:
@@ -196,12 +197,10 @@ class Triangulation:
 
     def carrier_of(self, face) -> Face:
         """Carrier of a total face, as a face (id tuple) of the base."""
-        kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
-        return _ids(self._carrier_mask(kface))
+        return _ids(self._carrier_mask(self._total._face_arg(face)))
 
     def carrier_labels(self, face) -> tuple[str, ...]:
-        kface = self._total._face_arg(face if isinstance(face, tuple) else tuple(face))
-        return self._base.labels_of(_ids(self._carrier_mask(kface)))
+        return self._base.labels_of(self.carrier_of(face))
 
     @property
     def carrier_map(self) -> dict[LabelSet, LabelSet]:
@@ -311,7 +310,7 @@ class Triangulation:
         carried into the face.
         """
         base, total = self._base, self._total
-        bface = base._face_arg(face if isinstance(face, tuple) else tuple(face))
+        bface = base._face_arg(face)
         outside = ~_mask(bface)
         kept = [v for v, m in enumerate(self._vmask) if not m & outside]
         inside = set(kept)
@@ -435,7 +434,7 @@ def stellar(
     complex_: SimplicialComplex, face, new_label: str | None = None
 ) -> Triangulation:
     """Stellar subdivision: cone a new vertex over the star of a face."""
-    fids = complex_._face_arg(face if isinstance(face, tuple) else tuple(face))
+    fids = complex_._face_arg(face)
     if not fids:
         raise PreconditionError("stellar subdivision needs a nonempty face")
     if new_label is None:
@@ -526,13 +525,12 @@ def format_triangulation_text(tri: Triangulation) -> str:
     complex, each face once (a point facet is also a vertex); all other
     carriers are recovered as unions of vertex carriers.
     """
-    total = tri.total
+    base, total = tri.base, tri.total
     lines = [format_facet_text(total).rstrip("\n"), _SECTION_TOKEN]
-    for labels in dict.fromkeys(itertools.chain(
-            map(total.labels_of, total.facets), ((v,) for v in total.vertex_labels))):
-        if labels:
-            rhs = " ".join(tri.carrier_labels(labels)) or _EMPTY_FACE_TOKEN
-            lines.append(f"{' '.join(labels)} {_ARROW} {rhs}")
+    for face in dict.fromkeys(itertools.chain(total.facets, ((v,) for v in total.vertices))):
+        if face:
+            rhs = " ".join(_mask_labels(base, tri._carrier_mask(face))) or _EMPTY_FACE_TOKEN
+            lines.append(f"{' '.join(total.labels_of(face))} {_ARROW} {rhs}")
     return "\n".join(line for line in lines if line != "") + "\n"
 
 
@@ -575,9 +573,10 @@ def parse_triangulation_text(text: str) -> Triangulation:
         raise FileFormatError(f"bad carrier face: {exc}") from exc
 
     given: dict[tuple[str, ...], tuple[str, ...]] = {}
+    total_faces = total.faces()
     for lhs, rhs in carrier_lines:
         try:
-            total._face_arg(lhs)
+            total._face_in(lhs, total_faces)
         except (NotAFaceError, MalformedFaceError) as exc:
             raise FileFormatError(f"carrier line for a non-face: {' '.join(lhs)}") from exc
         if lhs in given and given[lhs] != rhs:

@@ -309,6 +309,8 @@ def test_face_readers_agree_with_the_face_set(facets):
     c = SimplicialComplex.from_facets(facets)
     reversed_ = _reversed_table(c)
     for x in (c, reversed_):
+        # the f-vector is read before any faces() call and after it
+        first = x.f_vector()
         faces = x.faces()
         assert faces == {s for f in x.facets for k in range(len(f) + 1)
                          for s in itertools.combinations(f, k)}
@@ -316,7 +318,17 @@ def test_face_readers_agree_with_the_face_set(facets):
         for d in range(-1, top + 2):
             assert x.faces_of_dim(d) == tuple(sorted(f for f in faces if len(f) == d + 1))
         sizes = Counter(len(f) for f in faces)
-        assert x.f_vector() == tuple(sizes[i] for i in range(top + 2))
+        assert first == x.f_vector() == tuple(sizes[i] for i in range(top + 2))
+        # membership reads the facets: it agrees with the face set on every
+        # id tuple over one id past the table, and refuses unsorted, repeated,
+        # negative, label and mixed tuples
+        ids = range(len(x.vertex_labels) + 1)
+        for s in (s for k in range(len(ids) + 1) for s in itertools.combinations(ids, k)):
+            assert (s in x) == (s in faces)
+        for f in filter(None, faces):
+            assert f[::-1] not in x or len(f) == 1
+            assert f + f[-1:] not in x and (-1,) + f not in x
+            assert x.labels_of(f) not in x and (f[0], x.labels_of(f)[0]) not in x
         assert x.reduced_euler() == sum((-1) ** (i - 1) * n for i, n in sizes.items())
         for face in faces:
             assert x.link(face) == _link_by_labels(x, x.labels_of(face))

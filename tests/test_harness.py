@@ -309,31 +309,42 @@ def test_h_of_the_carrier_index_matches_h_poly(base):
 
 
 def test_run_suite_keeps_no_face_set_of_a_built_total(monkeypatch):
-    # a shelling reads the facets alone, so certifying a built total builds
-    # no face set of it, and no built total holds one after the run unless
-    # it is the base of another built triangulation, whose validate reads
-    # the base's faces as the allowed carriers; the carrier index keeps only
-    # the faces of the largest size at each mask
-    filled, certify = [], harness.shelled_boundary
+    # complexes cache no faces: after a run, no slot of any memo complex but
+    # its facets holds faces, and faces() enumerates afresh on every call; a
+    # shelling reads the facets alone, so certifying a built total enumerates
+    # none of its faces; the carrier index keeps only the faces of the
+    # largest size at each mask
+    enumerated, shelling = [], []
+    faces, certify = SimplicialComplex.faces, harness.shelled_boundary
+
+    def counted(c):
+        if shelling:
+            enumerated.append(c)
+        return faces(c)
 
     def shelled(c):
-        unbuilt = c._all_faces is None
-        bd = certify(c)
-        if unbuilt and c._all_faces is not None:
-            filled.append(c)
-        return bd
+        shelling.append(c)
+        try:
+            return certify(c)
+        finally:
+            shelling.pop()
 
+    monkeypatch.setattr(SimplicialComplex, "faces", counted)
     monkeypatch.setattr(harness, "shelled_boundary", shelled)
     with harness._run_cache():
         run_suite("all", seed=0)
-        memo = harness._RUN_CACHE
-        built = [tri for (what, _), tri in memo.items() if what == "tri"]
-        certified = [tri for tri in built if ("shelled", tri.total) in memo]
-        bases = {id(tri.base) for tri in built}
-    assert certified and filled == []
-    assert [tri for tri in built if tri.total._all_faces is not None
-            and id(tri.total) not in bases] == []
+        memo = dict(harness._RUN_CACHE)
+    built = [tri for (what, _), tri in memo.items() if what == "tri"]
+    assert [tri for tri in built if ("shelled", tri.total) in memo] and enumerated == []
+    complexes = {id(c): c for c in _memo_complexes(list(memo.items()))}
+    assert len(complexes) > 1000
+    for c in complexes.values():
+        held = [getattr(c, slot) for slot in SimplicialComplex.__slots__ if slot != "_facets"]
+        assert not [v for v in held if isinstance(v, (tuple, set, frozenset))
+                    and any(isinstance(f, tuple) for f in v)]
     for tri in built:
+        first, second = tri.total.faces(), tri.total.faces()
+        assert type(first) is frozenset and first == second and first is not second
         for counts, _, top in tri._carrier_index().values():
             assert len(top) == counts[-1] and {len(f) for f in top} == {len(counts) - 1}
 

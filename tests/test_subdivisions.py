@@ -9,6 +9,7 @@ import hashlib
 import itertools
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -483,6 +484,41 @@ def test_parse_triangulation_skips_comments_and_blank_lines():
     commented = "# a barycentric edge\n\n" + "\n\n".join(
         f"{line}  # line {i}" for i, line in enumerate(lines)) + "\n"
     assert parse_triangulation_text(commented) == tri
+
+
+def _counted_face_reads(monkeypatch):
+    """A Counter of the faces() calls and the single membership tests (each a
+    scan of the facets) that complexes make from now on."""
+    reads = Counter()
+    faces, contains = SimplicialComplex.faces, SimplicialComplex.__contains__
+
+    def counted_faces(c):
+        reads["faces"] += 1
+        return faces(c)
+
+    def counted_contains(c, face):
+        reads["in"] += 1
+        return contains(c, face)
+
+    monkeypatch.setattr(SimplicialComplex, "faces", counted_faces)
+    monkeypatch.setattr(SimplicialComplex, "__contains__", counted_contains)
+    return reads
+
+
+@pytest.mark.parametrize("labels", ["abcd", "abcde"])
+def test_bulk_face_readers_read_each_complex_a_bounded_number_of_times(labels, monkeypatch):
+    # a file round trip and the public constructor check a face per carrier
+    # line; a faces() call or a facet scan per line would make them quadratic
+    # in the facet count (75 facets for 4 vertices, 541 for 5), so the reads
+    # are bounded by a constant whatever the size
+    reads = _counted_face_reads(monkeypatch)
+    tri = parse_triangulation_text(format_triangulation_text(antiprism(simplex(labels))))
+    assert reads["in"] == 0 and 1 <= reads["faces"] <= 6, reads
+    assert tri == antiprism(simplex(labels))
+    carriers = tri.carrier_map
+    reads.clear()
+    assert Triangulation(tri.base, tri.total, carriers) == tri
+    assert reads["in"] == 0 and 1 <= reads["faces"] <= 4, reads
 
 
 def test_parse_triangulation_reconstructs_base():
