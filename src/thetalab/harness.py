@@ -11,7 +11,7 @@ to aggregate reports; consumers should treat them as opaque labels.
 Every ball and sphere hypothesis is certified, whatever the size, by a
 shelling (homology.shelled_boundary) or, where its search stalls, by
 is_homology_ball and is_homology_sphere.
-The run memo is the only cache, as no complex keeps its face set: within
+The run memo is the only cache, as a complex keeps only its f-vector: within
 one run_suite or scan_reports call, or one direct call of a check that opens
 it, results are memoized by complex, equal complexes sharing one entry, each
 shelled once, and the memo lasts that one call, so no run sees another's facts.
@@ -20,9 +20,10 @@ is built once per run, and each complex's h-polynomial is computed once.
 Every expansion over base faces reads the base's faces and their links, and
 a triangulation's local h and restriction thetas, each listed once per run
 in one face order, and the local h of each triangulation of a simplex once
-per run.  Local h, carrier patterns and the h of each built total are read
-off the carrier index, and a shelling reads only facets, so certifying a
-built total enumerates none of its faces.  The theta of a restriction is kept once per
+per run.  Local h and carrier patterns are read off the carrier index, the
+h of a built total off the f-vector that validating it recorded, and a
+shelling reads only facets, so certifying a built total enumerates none of
+its faces.  The theta of a restriction is kept once per
 triangulation and base face, and shared by carrier pattern: restrictions
 with equal face counts and equal largest faces, their vertices named by
 carrier and rank, are isomorphic, carriers kept, once one of them is a
@@ -69,7 +70,6 @@ from .homology import (
 )
 from .invariants import (
     ThetaClass,
-    _h_of_counts,
     _local_h_at,
     _sphere_gamma_of_h,
     _theta_class_of,
@@ -143,6 +143,20 @@ def _inapplicable(identity: str, instance: str, detail: str, kind: str = "theore
     passed, not applicable, and detail naming the unmet hypothesis."""
     return VerificationReport(identity, instance, lhs, rhs, True, kind=kind,
                               applicable=False, detail=detail)
+
+
+def _poly_report(identity: str, instance: str, lhs: IntPoly, rhs: IntPoly, passed: bool,
+                 kind: str = "identity", detail: str = "") -> VerificationReport:
+    """The report comparing two polynomials, an identity or a dominance."""
+    return VerificationReport(identity, instance, lhs.text(), rhs.text(), passed,
+                              kind=kind, detail=detail)
+
+
+def _verdict_report(identity: str, instance: str, lhs, rhs, kind: str = "theorem",
+                    detail: str = "") -> VerificationReport:
+    """The report of two verdicts or counts that must agree."""
+    return VerificationReport(identity, instance, str(lhs), str(rhs), lhs == rhs,
+                              kind=kind, detail=detail)
 
 
 def failures(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
@@ -325,18 +339,10 @@ def _built(kind: str, c: SimplicialComplex) -> Triangulation:
         outer, _, inner = kind.partition(".")
         if inner:
             tri = _built(inner, c)
-            tri = compose(_built(outer, tri.total), tri)
-        else:
-            tri = dict(subdivision_kinds())[kind](c)
-        return _with_h(tri)
+            return compose(_built(outer, tri.total), tri)
+        return dict(subdivision_kinds())[kind](c)
 
     return _cached("tri", (kind, c), compute)
-
-
-def _with_h(tri: Triangulation) -> Triangulation:
-    """tri, the h of its total read off the carrier index into the run memo."""
-    _cached("h", tri.total, lambda: _h_of_counts(_summed(tri._carrier_index().values())))
-    return tri
 
 
 def _base_faces(c: SimplicialComplex) -> list[Face]:
@@ -396,16 +402,11 @@ def _carrier_pattern(tri: Triangulation, face: Face) -> tuple:
     for i, b in enumerate(face):
         subs.update({m | 1 << b: r | 1 << i for m, r in list(subs.items())})
     carried = [(subs[m], index[m]) for m in subs if m in index]
-    counts = _summed(entry for _, entry in carried)
+    counts = tuple(map(sum, itertools.zip_longest(*(e[0] for _, e in carried), fillvalue=0)))
     names = {v: (pos, r) for pos, (_, vs, _) in carried for r, v in enumerate(vs)}
     largest = frozenset(frozenset(names[v] for v in f) for _, (c, _, top) in carried
                         if len(c) == len(counts) for f in top)
     return counts, largest
-
-
-def _summed(entries: Iterable[tuple]) -> tuple[int, ...]:
-    """The face counts by size of carrier index entries, added up."""
-    return tuple(map(sum, itertools.zip_longest(*(e[0] for e in entries), fillvalue=0)))
 
 
 @_run_cache()
@@ -440,9 +441,7 @@ def verify_locality(tri: Triangulation, instance: str = "") -> VerificationRepor
     rhs = IntPoly.zero()
     for link, ell in zip(_base_links(base), _at_faces(_local_h_at, tri)):
         rhs = rhs + ell * _h(link)
-    return VerificationReport(
-        "Thm2.1", instance, lhs.text(), rhs.text(), lhs == rhs
-    )
+    return _poly_report("Thm2.1", instance, lhs, rhs, lhs == rhs)
 
 
 @_run_cache()
@@ -455,9 +454,7 @@ def verify_theta_formula(tri: Triangulation, instance: str = "") -> Verification
     rhs = IntPoly.zero()
     for link, t in zip(_base_links(base), _restriction_thetas(tri)):
         rhs = rhs + t * _sd_h(link)
-    return VerificationReport(
-        "Eq3.3", instance, lhs.text(), rhs.text(), lhs == rhs
-    )
+    return _poly_report("Eq3.3", instance, lhs, rhs, lhs == rhs)
 
 
 @_run_cache()
@@ -471,9 +468,7 @@ def verify_kms(tri: Triangulation, instance: str = "") -> VerificationReport:
     rhs = IntPoly.zero()
     for face, t in zip(_base_faces(base), _restriction_thetas(tri)):
         rhs = rhs + t * derangement_poly(nverts - len(face))
-    return VerificationReport(
-        "Eq3.4", instance, lhs.text(), rhs.text(), lhs == rhs
-    )
+    return _poly_report("Eq3.4", instance, lhs, rhs, lhs == rhs)
 
 
 # -------------------------------------------------------------- ball battery
@@ -511,18 +506,12 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
 
     if c.dim in (1, 2):
         expected = IntPoly([0, r - 1]) if c.dim == 1 else IntPoly([0, r - 1, r - 1])
-        out.append(VerificationReport(
-            "Ex3.3b", name, th.text(), expected.text(), th == expected,
-            kind="theorem",
-        ))
+        out.append(_poly_report("Ex3.3b", name, th, expected, th == expected, kind="theorem"))
     if n >= 3:
         interior_edges = c.f_vector()[2] - bd.f_vector()[2]
         expected_c2 = interior_edges - len(c.vertices) - (n - 2) * r + n - 1
-        out.append(VerificationReport(
-            "Ex3.3d", name, str(th[2]), str(expected_c2),
-            th[2] == expected_c2, kind="theorem",
-            detail="coefficient of x^2 from interior counts",
-        ))
+        out.append(_verdict_report("Ex3.3d", name, th[2], expected_c2,
+                                   detail="coefficient of x^2 from interior counts"))
 
     ivp = has_interior_vertex_property(c, bd)
     if ivp:
@@ -556,19 +545,14 @@ def ball_basics_reports(name: str, c: SimplicialComplex) -> list[VerificationRep
 
     hs = hp.padded(n + 1)
     top_heavy = all(hs[i] <= hs[n - 1 - i] for i in range((n - 1) // 2 + 1))
-    out.append(VerificationReport(
-        "Eq5.2", name, str(_centered_unimodal(th, n)), str(top_heavy),
-        _centered_unimodal(th, n) == top_heavy, kind="theorem",
-        detail="theta unimodality matches the h-vector inequalities",
-    ))
+    out.append(_verdict_report("Eq5.2", name, _centered_unimodal(th, n), top_heavy,
+                               detail="theta unimodality matches the h-vector inequalities"))
 
     both_unimodal = _centered_unimodal(hbd, n - 1) and _centered_unimodal(th, n)
     alt = is_alternatingly_increasing(hp, n - 1)
-    out.append(VerificationReport(
-        "Eq5.3", name, str(alt), str(both_unimodal), alt == both_unimodal,
-        kind="theorem",
-        detail="alternatingly increasing h matches unimodal decomposition",
-    ))
+    out.append(_verdict_report(
+        "Eq5.3", name, alt, both_unimodal,
+        detail="alternatingly increasing h matches unimodal decomposition"))
 
     induced = is_induced_subcomplex(bd, c)
     if induced:
@@ -601,10 +585,7 @@ def verify_monotonicity_a(
         raise PreconditionError("the ball lacks the interior vertex property")
     lhs = theta_verified(tri.total)
     rhs = theta_verified(ball)
-    return VerificationReport(
-        "Thm4.1", instance, lhs.text(), rhs.text(), poly_geq(lhs, rhs),
-        kind="theorem",
-    )
+    return _poly_report("Thm4.1", instance, lhs, rhs, poly_geq(lhs, rhs), kind="theorem")
 
 
 def _monotone_proof_identities(
@@ -631,16 +612,10 @@ def _monotone_proof_identities(
             via_local = via_local + ell * theta_verified(link)
             via_theta = via_theta + t * _sd_theta(link)
     return [
-        VerificationReport(
-            "Thm4.1proof", instance, lhs.text(), via_local.text(),
-            lhs == via_local, kind="identity",
-            detail="theta expansion through local h over links",
-        ),
-        VerificationReport(
-            "Thm4.2proof", instance, lhs.text(), via_theta.text(),
-            lhs == via_theta, kind="identity",
-            detail="theta expansion through restriction thetas",
-        ),
+        _poly_report("Thm4.1proof", instance, lhs, via_local, lhs == via_local,
+                     detail="theta expansion through local h over links"),
+        _poly_report("Thm4.2proof", instance, lhs, via_theta, lhs == via_theta,
+                     detail="theta expansion through restriction thetas"),
     ]
 
 
@@ -659,10 +634,7 @@ def verify_monotonicity_b(
         raise PreconditionError("the triangulation is not theta positive")
     lhs = theta_verified(tri.total)
     rhs = _sd_theta(ball)
-    return VerificationReport(
-        "Thm4.2", instance, lhs.text(), rhs.text(), poly_geq(lhs, rhs),
-        kind="theorem",
-    )
+    return _poly_report("Thm4.2", instance, lhs, rhs, poly_geq(lhs, rhs), kind="theorem")
 
 
 def _monotonicity_b_parts(
@@ -676,18 +648,14 @@ def _monotonicity_b_parts(
     out = []
     if flags.unimodal:
         ok = _nonneg_unimodal(lhs) and _nonneg_unimodal(diff)
-        out.append(VerificationReport(
-            "Thm4.2a", instance, lhs.text(), diff.text(), ok, kind="theorem",
-            detail="nonnegative and unimodal theta and difference",
-        ))
+        out.append(_poly_report("Thm4.2a", instance, lhs, diff, ok, kind="theorem",
+                                detail="nonnegative and unimodal theta and difference"))
     else:
         out.append(_inapplicable("Thm4.2a", instance, "not a theta unimodal triangulation"))
     if flags.gamma_positive:
         ok = is_gamma_positive(lhs, n) and is_gamma_positive(diff, n)
-        out.append(VerificationReport(
-            "Thm4.2b", instance, lhs.text(), diff.text(), ok, kind="theorem",
-            detail="gamma-positive theta and difference",
-        ))
+        out.append(_poly_report("Thm4.2b", instance, lhs, diff, ok, kind="theorem",
+                                detail="gamma-positive theta and difference"))
     else:
         out.append(_inapplicable("Thm4.2b", instance,
                                  "not a theta gamma-positive triangulation"))
@@ -718,18 +686,14 @@ def verify_monotonicity_c(
     if expected_gap is not None:
         lhs = t_inner
         rhs = t_outer + expected_gap
-        return VerificationReport(
-            "Rem4.7", instance, lhs.text(), rhs.text(), lhs == rhs,
-            kind="identity", detail="exact gap after removing a pendant vertex",
-        )
+        return _poly_report("Rem4.7", instance, lhs, rhs, lhs == rhs,
+                            detail="exact gap after removing a pendant vertex")
     if not no_facet_on_union_boundaries(outer, bd_outer, bd_inner):
         return _inapplicable("Thm4.6", instance,
                              "a facet lies on the union of the boundaries",
                              lhs=t_outer.text(), rhs=t_inner.text())
-    return VerificationReport(
-        "Thm4.6", instance, t_outer.text(), t_inner.text(),
-        poly_geq(t_outer, t_inner), kind="theorem",
-    )
+    return _poly_report("Thm4.6", instance, t_outer, t_inner, poly_geq(t_outer, t_inner),
+                        kind="theorem")
 
 
 def remark_4_7_instance() -> tuple[SimplicialComplex, SimplicialComplex, str]:
@@ -739,7 +703,7 @@ def remark_4_7_instance() -> tuple[SimplicialComplex, SimplicialComplex, str]:
     of the outer ball, and removing its star costs exactly x^2 of theta.
     """
     base = simplex(["a", "b", "c", "d"])
-    outer = _cached("tri", ("esd4", base), lambda: _with_h(edgewise(base, 4))).total
+    outer = _cached("tri", ("esd4", base), lambda: edgewise(base, 4)).total
     vertex = "a:4"
     containing = [f for f in outer.facets if vertex in outer.labels_of(f)]
     if len(containing) != 1:
@@ -788,10 +752,8 @@ def check_link_conjecture(
                              kind="conjecture")
     g_sphere = _gamma_poly(c)
     g_link = _gamma_poly(c.link((vertex,)))
-    return VerificationReport(
-        "Prop5.5ii", instance, g_sphere.text(), g_link.text(),
-        poly_geq(g_sphere, g_link), kind="conjecture",
-    )
+    return _poly_report("Prop5.5ii", instance, g_sphere, g_link, poly_geq(g_sphere, g_link),
+                        kind="conjecture")
 
 
 def _link_conjecture_cross_checks(
@@ -820,20 +782,16 @@ def _link_conjecture_cross_checks(
     gv = gamma_vector(th, n)
     gamma_of_theta = IntPoly(gv.gammas) if gv is not None else None
     gamma_diff = _gamma_poly(c) - _gamma_poly(link)
-    out.append(VerificationReport(
-        "Prop5.5proof", instance, th.text(), expected.text(),
+    out.append(_poly_report(
+        "Prop5.5proof", instance, th, expected,
         th == expected and gamma_of_theta == gamma_diff,
-        kind="identity",
         detail="theta of the deletion from sphere and link h-polynomials; "
-               "its gamma vector is the difference of theirs",
-    ))
+               "its gamma vector is the difference of theirs"))
     ineq = poly_geq(_gamma_poly(c), _gamma_poly(link))
     gamma_ok = is_gamma_positive(th, n)
-    out.append(VerificationReport(
-        "Prop5.5equiv", instance, str(gamma_ok), str(ineq), gamma_ok == ineq,
-        kind="theorem",
-        detail="gamma-positivity of the deletion matches the link inequality",
-    ))
+    out.append(_verdict_report(
+        "Prop5.5equiv", instance, gamma_ok, ineq,
+        detail="gamma-positivity of the deletion matches the link inequality"))
     ball_verdict = check_conjecture_5_3(deleted, instance)
     out.append(VerificationReport(
         "Prop5.5equiv", instance, str(ball_verdict.passed), str(ineq),
@@ -859,11 +817,8 @@ def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport | No
         is_gamma_positive(theta_verified(c), n)
         and is_gamma_positive(_h(bd), n - 1)
     )
-    return VerificationReport(
-        "Prop5.6equiv", name, str(parts_gamma), str(components),
-        parts_gamma == components, kind="theorem",
-        detail="decomposition gamma-positivity matches theta and boundary",
-    )
+    return _verdict_report("Prop5.6equiv", name, parts_gamma, components,
+                           detail="decomposition gamma-positivity matches theta and boundary")
 
 
 @_run_cache()
@@ -1107,10 +1062,8 @@ def _h_corollary_reports(
     diff = h_total - h_sd
 
     if cm and flags.positive:
-        out.append(VerificationReport(
-            "Cor3.7a", inst, h_total.text(), h_sd.text(),
-            poly_geq(h_total, h_sd), kind="theorem",
-        ))
+        out.append(_poly_report("Cor3.7a", inst, h_total, h_sd, poly_geq(h_total, h_sd),
+                                kind="theorem"))
     if cm and flags.unimodal:
         out.append(VerificationReport(
             "Cor3.8a", inst, h_total.text(), f"peak in {_peak_window(n)}",
@@ -1293,10 +1246,7 @@ def _local_h_corollary_reports(
     d_n = derangement_poly(nverts)
     out = []
     if flags.positive:
-        out.append(VerificationReport(
-            "Cor3.7b", inst, ell.text(), d_n.text(), poly_geq(ell, d_n),
-            kind="theorem",
-        ))
+        out.append(_poly_report("Cor3.7b", inst, ell, d_n, poly_geq(ell, d_n), kind="theorem"))
     if flags.unimodal:
         out.append(_unimodal_report("Cor3.8b", inst, ell))
     if flags.gamma_positive:
@@ -1337,17 +1287,12 @@ def _iterated_local_h_reports(max_dim: int) -> list[VerificationReport]:
         flags = triangulation_theta_flags(_built(oname, _built(iname, base).total))
         if flags.unimodal:
             ok = _nonneg_unimodal(ell) and _nonneg_unimodal(ell - ell_sd)
-            out.append(VerificationReport(
-                "Cor4.4", inst, ell.text(), ell_sd.text(), ok,
-                kind="theorem", detail="unimodal, dominates sd",
-            ))
+            out.append(_poly_report("Cor4.4", inst, ell, ell_sd, ok, kind="theorem",
+                                    detail="unimodal, dominates sd"))
         if flags.gamma_positive:
             ok = is_gamma_positive(ell, nverts) and is_gamma_positive(
                 ell - ell_sd, nverts)
-            out.append(VerificationReport(
-                "Cor4.4-gamma", inst, ell.text(), ell_sd.text(), ok,
-                kind="theorem",
-            ))
+            out.append(_poly_report("Cor4.4-gamma", inst, ell, ell_sd, ok, kind="theorem"))
         if oname == "antiprism":
             out.append(_gamma_report("Cor6.2", inst, ell, nverts))
     return out
@@ -1395,16 +1340,13 @@ def _rem43_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
     bd = verified_boundary(c)
     closed = theta_sd_closed_form(c, bd)
     direct = _sd_theta(c)
-    out = [VerificationReport(
-        "Rem4.3", name, closed.text(), direct.text(), closed == direct,
-        kind="identity", detail="closed form against the built subdivision",
-    )]
-    out.append(VerificationReport(
-        "Rem4.3ineq", name, direct.text(), theta_verified(c).text(),
-        poly_geq(direct, theta_verified(c)), kind="theorem",
-        detail="barycentric subdivision does not decrease theta",
-    ))
-    return out
+    return [
+        _poly_report("Rem4.3", name, closed, direct, closed == direct,
+                     detail="closed form against the built subdivision"),
+        _poly_report("Rem4.3ineq", name, direct, theta_verified(c),
+                     poly_geq(direct, theta_verified(c)), kind="theorem",
+                     detail="barycentric subdivision does not decrease theta"),
+    ]
 
 
 def _remark_4_7_reports() -> list[VerificationReport]:
@@ -1413,10 +1355,8 @@ def _remark_4_7_reports() -> list[VerificationReport]:
     inst = f"esd4(simplex3) minus star({vertex})"
     out = [verify_monotonicity_c(outer, inner, inst, expected_gap=gap)]
     ivp = has_interior_vertex_property(outer, verified_boundary(outer))
-    out.append(VerificationReport(
-        "Rem4.7", inst, str(ivp), "False", not ivp, kind="theorem",
-        detail="the gap family never has the interior vertex property",
-    ))
+    out.append(_verdict_report("Rem4.7", inst, ivp, False,
+                               detail="the gap family never has the interior vertex property"))
     return out
 
 
@@ -1441,11 +1381,9 @@ def _pair_reports(seed: int, max_dim: int, samples: int) -> list[VerificationRep
         if (has_interior_vertex_property(inner, verified_boundary(inner))
                 and has_interior_vertex_property(outer, verified_boundary(outer))):
             holds = poly_geq(theta_verified(outer), theta_verified(inner))
-            out.append(VerificationReport(
-                "Q4.5", name, theta_verified(outer).text(),
-                theta_verified(inner).text(), holds, kind="evidence",
-                detail="both balls have the interior vertex property",
-            ))
+            out.append(_poly_report(
+                "Q4.5", name, theta_verified(outer), theta_verified(inner), holds,
+                kind="evidence", detail="both balls have the interior vertex property"))
     return out
 
 

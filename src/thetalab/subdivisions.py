@@ -12,9 +12,10 @@ Each Triangulation caches one carrier index: per carrier mask, the counts by
 size of the faces carried there, their vertices and their largest faces.
 validate enumerates the faces once, level by level from the facets, grouped
 by mask and size: each level's subfaces are both the next level and its
-purity witnesses.  It names the first violation in a fixed order and keeps
-the index.  Local h of a restriction sums its counts (see invariants), and
-the harness reads h and restriction patterns from it, enumerating no faces.
+purity witnesses.  It names the first violation in a fixed order, keeps the
+index and records the total's f-vector, the sizes of the levels.  Local h of
+a restriction sums the index's counts (see invariants), the harness reads
+restriction patterns from it and h from the f-vector, enumerating no faces.
 
 Constructors: identity, barycentric, antiprism, stellar, edgewise, compose.
 They work on ids and masks: each new vertex gets its label and carrier mask
@@ -162,14 +163,17 @@ class Triangulation:
         vertices in id order, and below[m, k]: the faces of size k in a face
         of size k + 1 carried at m.  Faces are enumerated once, from the
         facets down: each level is grouped by mask, and its below entries,
-        with the facets one size smaller, make the next level."""
+        with the facets one size smaller, make the next level.  The level
+        sizes are the total's f-vector, recorded as faces() records it."""
         total, vmask = self._total, self._vmask
         width = 0 if total.is_void else total.dim + 2
         groups: dict[int, list[list[Face]]] = {}
         below: dict[tuple[int, int], set[Face]] = {}
         level: set[Face] = set()
+        fvec = [0] * width
         for k in range(width - 1, -1, -1):
             level.update(f for f in total.facets if len(f) == k)
+            fvec[k] = len(level)
             for face in sorted(level) if k == 1 else level:
                 mask = 0
                 for v in face:
@@ -184,6 +188,7 @@ class Triangulation:
                     below[mask, k - 1] = sub = set(itertools.chain.from_iterable(
                         map(itertools.combinations, lists[k], itertools.repeat(k - 1))))
                     level |= sub
+        total._fvec = tuple(fvec)
         return groups, below
 
     def _carrier_index(self) -> dict[int, tuple]:
@@ -222,7 +227,8 @@ class Triangulation:
         grouping, a first pass checks carriers; a second checks dimensions and
         purity mask by mask against the below entries; a third checks full
         dimension and the Euler characteristic of each base face.  Masks go by
-        size, then mask, and faces in id order.  The grouping gives the index.
+        size, then mask, and faces in id order.  The grouping gives the index
+        and records the total's f-vector.
         """
         base, total = self._base, self._total
         if base.is_void != total.is_void:

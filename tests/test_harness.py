@@ -15,9 +15,11 @@ from thetalab import (
     PreconditionError,
     SimplicialComplex,
     Triangulation,
+    antiprism,
     barycentric,
     boundary_simplex,
     boundary_subcomplex,
+    compose,
     cycle,
     example_5_2_ball,
     example_5_4_ball,
@@ -27,6 +29,7 @@ from thetalab import (
     octahedron,
     path,
     simplex,
+    stellar,
     theta,
     theta_class,
 )
@@ -296,16 +299,49 @@ def test_inherited_boundary_matches_is_homology_ball(name):
                     expected.table, expected.facets), kind
 
 
+def _check_recorded_f_vector(tri, monkeypatch):
+    # the grouping behind the carrier index records the total's f-vector, so
+    # reading it enumerates no face; a fresh faces() is the reference
+    tri._carrier_index()
+    calls = []
+    faces = SimplicialComplex.faces
+    with monkeypatch.context() as m:
+        m.setattr(SimplicialComplex, "faces", lambda c: calls.append(c) or faces(c))
+        fvec = tri.total.f_vector()
+    assert calls == []
+    sizes = Counter(map(len, tri.total.faces()))
+    assert fvec == tuple(sizes[k] for k in range(len(fvec))) and sum(fvec) == sum(sizes.values())
+    assert harness._h(tri.total) == invariants.h_poly(tri.total)
+
+
 @pytest.mark.parametrize("base", [c for _, c in corpus()]
                          + [simplex("abcde"[:n]) for n in range(1, 6)])
-def test_h_of_the_carrier_index_matches_h_poly(base):
-    # _built enters each total's h in the run memo from the index counts;
-    # h_poly enumerates the total's faces and is the reference
+def test_h_of_the_carrier_index_matches_h_poly(base, monkeypatch):
     with harness._run_cache():
         for kind, _ in subdivision_kinds():
-            tri = harness._built(kind, base)
-            assert harness._summed(tri._carrier_index().values()) == tri.total.f_vector()
-            assert harness._h(tri.total) == invariants.h_poly(tri.total), kind
+            _check_recorded_f_vector(harness._built(kind, base), monkeypatch)
+
+
+def _other_triangulations():
+    star = stellar(simplex("abc"), ("a", "b"))
+    # the strict xfail's non-subdivision of test_subdivisions: the path
+    # a-m-b plus the 3-cycle xyz, carried by the edge ab
+    total = SimplicialComplex.from_facets(
+        [("a", "m"), ("m", "b"), ("x", "y"), ("y", "z"), ("x", "z")])
+    carriers = {("a",): ("a",), ("b",): ("b",), **{(v,): ("a", "b") for v in "mxyz"}}
+    return {
+        "identity": identity(cycle(5)),
+        "restriction": barycentric(simplex("abcd")).restriction(("a", "b", "c")),
+        "compose": compose(antiprism(star.total), star),
+        "void": barycentric(SimplicialComplex.from_facets([])),
+        "empty": barycentric(SimplicialComplex.from_facets([()])),
+        "non-subdivision": Triangulation(simplex("ab"), total, carriers, validate=False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_other_triangulations()))
+def test_the_grouping_records_the_total_f_vector(name, monkeypatch):
+    _check_recorded_f_vector(_other_triangulations()[name], monkeypatch)
 
 
 def test_run_suite_keeps_no_face_set_of_a_built_total(monkeypatch):
@@ -649,6 +685,51 @@ def test_only_the_inapplicable_constructor_sets_applicable():
         and (len(node.args) > 6 or any(k.arg == "applicable" for k in node.keywords))
     ]
     assert not found
+
+
+def test_comparison_reports_come_from_their_constructors():
+    # a report with .text() on both sides compares two polynomials; one that
+    # renders two values with str() (the literal "False" renders False) and
+    # passes when they are equal is a verdict agreement.  Each shape has one
+    # constructor; the second Prop5.5equiv, which also passes on an
+    # inapplicable verdict, stays a direct call
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    inside = {fn.name: {id(node) for node in ast.walk(fn)} for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)}
+
+    def is_call(node, name):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and name in (getattr(func, "id", None),
+                                                       getattr(func, "attr", None))
+
+    def rendered(side):
+        if is_call(side, "str") and len(side.args) == 1:
+            return ast.dump(side.args[0])
+        if isinstance(side, ast.Constant) and side.value in ("True", "False"):
+            return ast.dump(ast.Constant(side.value == "True"))
+        return None
+
+    def agreement(passed):
+        if isinstance(passed, ast.Compare) and [type(op) for op in passed.ops] == [ast.Eq]:
+            return {ast.dump(passed.left), ast.dump(passed.comparators[0])}
+        if isinstance(passed, ast.UnaryOp) and isinstance(passed.op, ast.Not):
+            return {ast.dump(passed.operand), ast.dump(ast.Constant(False))}
+        return None
+
+    found = []
+    for node in ast.walk(tree):
+        if not is_call(node, "VerificationReport"):
+            continue
+        fields = dict(zip(("lhs", "rhs", "passed"), node.args[2:5]))
+        fields.update((k.arg, k.value) for k in node.keywords)
+        lhs, rhs, passed = (fields.get(f) for f in ("lhs", "rhs", "passed"))
+        if (is_call(lhs, "text") and is_call(rhs, "text")
+                and id(node) not in inside.get("_poly_report", ())):
+            found.append((node.lineno, "_poly_report"))
+        if ({rendered(lhs), rendered(rhs)} == agreement(passed)
+                and id(node) not in inside.get("_verdict_report", ())):
+            found.append((node.lineno, "_verdict_report"))
+    assert not found, sorted(found)
 
 
 def test_run_suite_repeats_within_one_process():
