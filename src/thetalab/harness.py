@@ -168,17 +168,17 @@ def failures(reports: Iterable[VerificationReport]) -> list[VerificationReport]:
 
 
 def summarize(reports: Sequence[VerificationReport]) -> str:
-    """Per-identity pass counts, one line each, plus a trailing total line."""
-    groups: dict[str, list[VerificationReport]] = {}
+    """Pass counts per identity and kind, one line each, plus a total line."""
+    groups: dict[tuple[str, str], list[VerificationReport]] = {}
     for r in reports:
-        groups.setdefault(r.identity, []).append(r)
+        groups.setdefault((r.identity, r.kind), []).append(r)
     lines = []
-    for ident in sorted(groups):
-        rs = groups[ident]
+    for ident, kind in sorted(groups):
+        rs = groups[ident, kind]
         applicable = [r for r in rs if r.applicable]
         passed = sum(1 for r in applicable if r.passed)
         line = (
-            f"{ident:16s} {rs[0].kind:10s} "
+            f"{ident:16s} {kind:10s} "
             f"passed {passed}/{len(applicable)}"
         )
         skipped = len(rs) - len(applicable)
@@ -664,14 +664,12 @@ def _monotonicity_b_parts(
 
 @_run_cache()
 def verify_monotonicity_c(
-    outer: SimplicialComplex, inner: SimplicialComplex, instance: str = "",
-    expected_gap: IntPoly | None = None,
+    outer: SimplicialComplex, inner: SimplicialComplex, instance: str = ""
 ) -> VerificationReport:
     """theta comparison for a ball contained in a larger ball of equal dimension.
 
     When no facet of the outer ball lies entirely on the union of the two
-    boundaries, theta of the outer ball dominates.  With expected_gap given,
-    the exact identity theta(inner) = theta(outer) + gap is checked instead.
+    boundaries, theta of the outer ball dominates.
     """
     bd_outer = verified_boundary(outer)
     bd_inner = verified_boundary(inner)
@@ -683,11 +681,6 @@ def verify_monotonicity_c(
         raise PreconditionError("the balls must have equal dimension")
     t_outer = theta_verified(outer)
     t_inner = theta_verified(inner)
-    if expected_gap is not None:
-        lhs = t_inner
-        rhs = t_outer + expected_gap
-        return _poly_report("Rem4.7", instance, lhs, rhs, lhs == rhs,
-                            detail="exact gap after removing a pendant vertex")
     if not no_facet_on_union_boundaries(outer, bd_outer, bd_inner):
         return _inapplicable("Thm4.6", instance,
                              "a facet lies on the union of the boundaries",
@@ -801,13 +794,10 @@ def _link_conjecture_cross_checks(
     return out
 
 
-def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport | None:
-    """Gamma-positive symmetric decomposition versus its two components."""
+def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport:
+    """Gamma-positive symmetric decomposition versus its two components, on a
+    flag ball with induced boundary: a ball on which Conj5.3 applies."""
     bd = verified_boundary(c)
-    if bd is None or c.is_empty or not c.is_flag():
-        return None
-    if not is_induced_subcomplex(bd, c):
-        return None
     n = c.dim + 1
     dec = symmetric_decomposition(_h(c), n - 1)
     parts_gamma = (
@@ -819,23 +809,6 @@ def _prop_5_6_report(name: str, c: SimplicialComplex) -> VerificationReport | No
     )
     return _verdict_report("Prop5.6equiv", name, parts_gamma, components,
                            detail="decomposition gamma-positivity matches theta and boundary")
-
-
-@_run_cache()
-def scan_theta_zero(
-    instances: Iterable[tuple[str, SimplicialComplex]]
-) -> list[tuple[str, SimplicialComplex]]:
-    """Verified balls among the instances whose theta vanishes."""
-    out = []
-    for name, c in instances:
-        if c.is_void or c.is_empty:
-            continue
-        bd = verified_boundary(c)
-        if bd is None:
-            continue
-        if theta_verified(c).is_zero():
-            out.append((name, c))
-    return out
 
 
 # ------------------------------------------------------------------ generators
@@ -850,11 +823,10 @@ def _facet_labels(c: SimplicialComplex, faces=None) -> list[tuple[str, ...]]:
     return sorted(map(c.labels_of, c.facets if faces is None else faces))
 
 
-def _attach_fresh(c: SimplicialComplex, rng: random.Random,
-                  boundary_only: bool) -> SimplicialComplex:
-    """Glue a new simplex along one ridge, using a fresh vertex."""
-    pool = boundary_subcomplex(c) if boundary_only else None
-    if pool is not None and not pool.is_void and pool.dim == c.dim - 1:
+def _attach_fresh(c: SimplicialComplex, rng: random.Random) -> SimplicialComplex:
+    """Glue a new simplex along one boundary ridge, using a fresh vertex."""
+    pool = boundary_subcomplex(c)
+    if not pool.is_void and pool.dim == c.dim - 1:
         ridges = _facet_labels(pool)
     else:
         ridges = _facet_labels(c, c.faces_of_dim(c.dim - 1))
@@ -875,14 +847,8 @@ def _grow_ball(rng: random.Random, dim: int, target_vertices: int,
         if allow_stellar and rng.random() < 0.3:
             c = _random_stellar(c, rng)
         else:
-            c = _attach_fresh(c, rng, boundary_only=True)
+            c = _attach_fresh(c, rng)
     return c
-
-
-def _sphere_from_ball(ball: SimplicialComplex, apex: str) -> SimplicialComplex:
-    bd = boundary_subcomplex(ball)
-    facets = _facet_labels(ball) + [f + (apex,) for f in _facet_labels(bd)]
-    return SimplicialComplex.from_facets(facets)
 
 
 def _suspension(c: SimplicialComplex, north: str, south: str) -> SimplicialComplex:
@@ -907,9 +873,9 @@ MAX_INSTANCE_VERTICES = 12  # cap on the vertex budget of a generated instance
 class InstanceGenerator:
     """Seeded stream of verified random complexes of one class.
 
-    Supported classes: ball, sphere, CM, flag-sphere, flag-ball.  Streams are
-    reproducible: each instance is derived only from (seed, class, dimension,
-    index), so the other instances asked for cannot change any of them.
+    Supported classes, those the suites run: ball, flag-sphere, flag-ball.
+    Streams are reproducible: each instance is derived only from (seed, class,
+    dimension, index), so the other instances asked for cannot change them.
     """
 
     seed: int
@@ -928,26 +894,6 @@ class InstanceGenerator:
             if verified_boundary(c) is None:
                 raise ConsistencyError("ball growth produced a non-ball")
             return c
-        if self.klass == "sphere":
-            ball = _grow_ball(rng, dim, budget - 1)
-            c = _sphere_from_ball(ball, fresh_label(ball, "apex"))
-            if not _verified_sphere(c):
-                raise ConsistencyError("sphere construction failed")
-            return c
-        if self.klass == "CM":
-            mode = rng.choice(["ball", "sphere", "loose"])
-            if mode == "loose":
-                for _ in range(6):
-                    c = simplex([f"v{i}" for i in range(dim + 1)])
-                    while len(c.vertices) < budget:
-                        c = _attach_fresh(c, rng, boundary_only=False)
-                    if is_cohen_macaulay(c):
-                        return c
-                mode = "ball"
-            if mode == "sphere":
-                ball = _grow_ball(rng, dim, budget - 1)
-                return _sphere_from_ball(ball, fresh_label(ball, "apex"))
-            return _grow_ball(rng, dim, budget)
         if self.klass == "flag-sphere":
             c = _grow_flag_sphere(rng, dim, budget)
             if not c.is_flag() or not _verified_sphere(c):
@@ -995,7 +941,7 @@ def nested_ball_pairs(
             outer = inner
             extra = rng.randint(1, 3)
             for _ in range(extra):
-                outer = _attach_fresh(outer, rng, boundary_only=True)
+                outer = _attach_fresh(outer, rng)
             name = f"pair[s{seed} d{dim} i{index}]"
             out.append((name, inner, outer))
     return out
@@ -1351,13 +1297,13 @@ def _rem43_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
 
 def _remark_4_7_reports() -> list[VerificationReport]:
     outer, inner, vertex = remark_4_7_instance()
-    gap = IntPoly((0, 0, 1))
     inst = f"esd4(simplex3) minus star({vertex})"
-    out = [verify_monotonicity_c(outer, inner, inst, expected_gap=gap)]
+    lhs, rhs = theta_verified(inner), theta_verified(outer) + IntPoly((0, 0, 1))
     ivp = has_interior_vertex_property(outer, verified_boundary(outer))
-    out.append(_verdict_report("Rem4.7", inst, ivp, False,
-                               detail="the gap family never has the interior vertex property"))
-    return out
+    return [_poly_report("Rem4.7", inst, lhs, rhs, lhs == rhs,
+                         detail="exact gap after removing a pendant vertex"),
+            _verdict_report("Rem4.7", inst, ivp, False,
+                            detail="the gap family never has the interior vertex property")]
 
 
 def _pair_reports(seed: int, max_dim: int, samples: int) -> list[VerificationReport]:
@@ -1412,11 +1358,8 @@ def _conjecture_reports(seed: int, max_dim: int, samples: int) -> list[Verificat
 
 
 def _conjecture_ball_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
-    out = [check_conjecture_5_3(c, name)]
-    extra = _prop_5_6_report(name, c)
-    if extra is not None:
-        out.append(extra)
-    return out
+    conj = check_conjecture_5_3(c, name)
+    return [conj, _prop_5_6_report(name, c)] if conj.applicable else [conj]
 
 
 def _sphere_link_reports(name: str, c: SimplicialComplex) -> list[VerificationReport]:
@@ -1437,16 +1380,14 @@ def _theta_zero_reports(seed: int, max_dim: int, samples: int) -> list[Verificat
     instances = [(n, c) for n, c in _bases(max_dim)]
     instances.append(("esd4(simplex3)", remark_4_7_instance()[0]))
     instances += _generated_balls(seed, max_dim, samples)
-    hits = scan_theta_zero(instances)
-    hit_names = {n for n, _ in hits}
     out = []
     for name, c in instances:
         if c.is_void or c.is_empty or verified_boundary(c) is None:
             continue
+        th = theta_verified(c)
         out.append(VerificationReport(
-            "Q3.10", name, theta_verified(c).text(), "0",
-            True, kind="evidence",
-            detail="theta vanishes" if name in hit_names else "theta is nonzero",
+            "Q3.10", name, th.text(), "0", True, kind="evidence",
+            detail="theta vanishes" if th.is_zero() else "theta is nonzero",
         ))
     return out
 

@@ -51,13 +51,28 @@ from .complexes import Face, SimplicialComplex, _maximal
 from .errors import PreconditionError
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _validate_field(field: int | None) -> int | None:
+    """field, a prime p for Z/p or None for the rationals.  Trial division by
+    the primes up to 41, then Miller-Rabin to those bases, exact below
+    _PRIME_BOUND (Sorenson and Webster, 2015); a larger field is refused."""
     if field is None:
         return None
     if not isinstance(field, int) or field < 2:
         raise PreconditionError(f"field must be None (rationals) or a prime, got {field!r}")
-    for q in range(2, math.isqrt(field) + 1):
-        if field % q == 0:
+    if field in _SMALL_PRIMES:
+        return field
+    if any(field % q == 0 for q in _SMALL_PRIMES):
+        raise PreconditionError(f"{field} is not prime")
+    if field >= _PRIME_BOUND:
+        raise PreconditionError(f"{field} is not below {_PRIME_BOUND}, too large to certify")
+    s = ((field - 1) & (1 - field)).bit_length() - 1  # 2**s exactly divides field - 1
+    for q in _SMALL_PRIMES:
+        x = pow(q, (field - 1) >> s, field)
+        if x != 1 and all(pow(x, 1 << i, field) != field - 1 for i in range(s)):
             raise PreconditionError(f"{field} is not prime")
     return field
 

@@ -45,7 +45,6 @@ from thetalab.harness import (
     remark_4_7_instance,
     run_suite,
     scan_reports,
-    scan_theta_zero,
     subdivision_kinds,
     summarize,
     theta_verified,
@@ -113,6 +112,17 @@ def test_summarize_counts():
     text = summarize(reports)
     assert "A" in text and "passed 1/1" in text and "+1 inapplicable" in text
     assert text.strip().endswith("3 reports, 0 identity/theorem failures")
+
+
+def test_summarize_splits_an_id_by_kind():
+    reports = [
+        VerificationReport("A", "x", "1", "1", True),
+        VerificationReport("A", "x", "True", "True", True, kind="theorem"),
+        VerificationReport("A", "y", "True", "False", False, kind="theorem"),
+    ]
+    lines = summarize(reports).splitlines()
+    assert lines[:2] == [f"{'A':16s} {'identity':10s} passed 1/1",
+                         f"{'A':16s} {'theorem':10s} passed 1/2"]
 
 
 # ------------------------------------------------------------- fixed inputs
@@ -533,10 +543,12 @@ def test_monotonicity_b():
 def test_monotonicity_c_gap_identity():
     outer, inner, vertex = remark_4_7_instance()
     assert vertex == "a:4"
-    r = verify_monotonicity_c(outer, inner, "edgewise corner",
-                              expected_gap=P.monomial(2))
+    with harness._run_cache():
+        reports = harness._remark_4_7_reports()
+    [r] = [r for r in reports if r.kind == "identity"]
     assert r.passed and r.identity == "Rem4.7"
-    assert theta(inner) == theta(outer) + P.monomial(2)
+    assert r.lhs == theta(inner).text()
+    assert r.rhs == (theta(outer) + P.monomial(2)).text()
 
 
 def test_monotonicity_c_preconditions():
@@ -587,10 +599,10 @@ def test_link_conjecture():
 
 
 def test_scan_theta_zero_membership():
-    hits = dict(scan_theta_zero(corpus()))
-    assert "cone_cycle4" in hits and "cone_octahedron" in hits
-    assert "ball_5_2" not in hits
-    assert "octahedron" not in hits  # not a ball at all
+    details = {r.instance: r.detail for r in scan_reports("theta-zero")}
+    assert details["cone_cycle4"] == details["cone_octahedron"] == "theta vanishes"
+    assert details["ball_5_2"] == "theta is nonzero"
+    assert "octahedron" not in details  # not a ball at all
 
 
 def test_scan_theta_zero_certifies_each_ball_once(monkeypatch):
@@ -598,12 +610,13 @@ def test_scan_theta_zero_certifies_each_ball_once(monkeypatch):
     certify = harness.shelled_boundary
 
     def counted(c):
-        calls.append(c)
+        calls.append(c.facet_labelsets())
         return certify(c)
 
     monkeypatch.setattr(harness, "shelled_boundary", counted)
-    scan_theta_zero([("x", example_5_2_ball())])
-    assert len(calls) == 1
+    scan_reports("theta-zero")
+    repeated = [c for c, n in Counter(calls).items() if n > 1]
+    assert calls and not repeated, repeated[:3]
 
 
 def test_scan_reports_theta_zero():
@@ -633,13 +646,14 @@ def test_instance_generator_reproducible():
 def test_instance_generator_classes():
     for klass, check in [
         ("ball", lambda c: verified_boundary(c) is not None),
-        ("sphere", lambda c: c.reduced_euler() in (1, -1)),
+        ("flag-sphere", harness._verified_sphere),
         ("flag-ball", lambda c: c.is_flag()),
     ]:
         for _, c in InstanceGenerator(3, klass, max_dim=2).instances(1):
             assert check(c), klass
-    with pytest.raises(PreconditionError):
-        InstanceGenerator(0, "widget")._one(1, 0)
+    for klass in ("sphere", "CM", "widget"):
+        with pytest.raises(PreconditionError):
+            InstanceGenerator(0, klass)._one(1, 0)
 
 
 def test_nested_ball_pairs():
